@@ -37,7 +37,7 @@ def _load_corpus(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"cannot read corpus: {exc}", file=sys.stderr)
         return None
     document = corpus_mod.parse(text)
@@ -63,7 +63,7 @@ def cmd_validate(args) -> int:
     try:
         with open(args.corpus, encoding="utf-8") as handle:
             document = corpus_mod.parse(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         return _fail(f"cannot read corpus: {exc}")
     if not document.ok:
         for issue in document.issues:
@@ -297,9 +297,8 @@ def cmd_estimate(args) -> int:
 # -- selfcheck --------------------------------------------------------------
 
 def cmd_selfcheck(args) -> int:
-    axiom_atoms = min(args.atoms, oracle.TRIPLE_CAP)
     pair_atoms = min(args.atoms + 2, oracle.PAIR_CAP)
-    results = oracle.default_suite(axiom_atoms=axiom_atoms, pair_atoms=pair_atoms)
+    results = oracle.default_suite(axiom_atoms=args.atoms, pair_atoms=pair_atoms)
     for result in results:
         if args.format == "records":
             print(_record([
@@ -370,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("selfcheck", help="brute-force verification of the algebra")
-    p.add_argument("--atoms", type=int, default=4)
+    p.add_argument("--atoms", type=int, choices=range(1, oracle.TRIPLE_CAP + 1),
+                   default=oracle.TRIPLE_CAP, metavar="N",
+                   help=f"atoms in the axiom universe, 1 to {oracle.TRIPLE_CAP} (default {oracle.TRIPLE_CAP})")
     add_format(p)
     p.set_defaults(func=cmd_selfcheck)
 

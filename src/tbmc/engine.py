@@ -478,10 +478,20 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
 
 
 def render_trace(node: TraceNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    shown = node.template.render() if node.template else "(no template)"
-    step = "head" if node.process is None else f"{node.process.value} {node.rule_id or '-'}"
-    mark = " superseded" if node.superseded else ""
-    gloss = f" '{node.gloss}'" if node.gloss else ""
-    line = f"{pad}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}"
-    return "\n".join([line, *(render_trace(c, indent + 1) for c in node.children)])
+    """One line per node in depth-first order, children indented two spaces.
+
+    Rendered iteratively over an explicit stack and joined once, so the
+    depth of a tree is not limited by the Python stack and the cost is
+    linear in the number of nodes.
+    """
+    lines: List[str] = []
+    stack = [(node, indent)]
+    while stack:
+        node, depth = stack.pop()
+        shown = node.template.render() if node.template else "(no template)"
+        step = "head" if node.process is None else f"{node.process.value} {node.rule_id or '-'}"
+        mark = " superseded" if node.superseded else ""
+        gloss = f" '{node.gloss}'" if node.gloss else ""
+        lines.append(f"{'  ' * depth}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return "\n".join(lines)

@@ -63,6 +63,8 @@ class LanguageProfile:
     language: str
     category: str
     slots: Tuple[Slot, ...]
+    # well-formed bodies validated so far -> canonical text; see validate()
+    _rendered: Dict[FeatureSet, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = self.feature_names()
@@ -110,7 +112,14 @@ def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
 
     Returns an empty list when the body is a valid template: exactly the
     profile category plus, per slot, a legal sign assignment.  Never raises.
+
+    Memoized per profile: a body found well-formed is stored with its
+    canonical text, so later calls on it return at once.  Ill-formed bodies
+    are never stored and are checked afresh each time, so the memo holds at
+    most the well-formed bodies actually seen.
     """
+    if body in profile._rendered:
+        return []
     problems: List[str] = []
     categories = sorted(a for a in body if algebra.is_category(a))
     if categories != [profile.category]:
@@ -131,6 +140,11 @@ def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
         else:
             if len(_slot_signs(body, slot.name)) != 1:
                 problems.append(f"slot {slot.name}: needs exactly one polarity")
+    if not problems:
+        parts = [profile.category]
+        for name in profile.feature_names():
+            parts.append((POSITIVE if POSITIVE + name in body else NEGATIVE) + name)
+        profile._rendered[body] = "{" + ", ".join(parts) + "}"
     return problems
 
 
@@ -143,14 +157,16 @@ def canonical_render(body: FeatureSet, profile: LanguageProfile) -> str:
 
     Requires a well-formed body; this is the display form used everywhere a
     template is printed or tallied, so it must be total and deterministic.
+    The text is the one :func:`validate` stored in the profile's memo, so a
+    body already seen is rendered by one lookup.
     """
-    problems = validate(body, profile)
-    if problems:
-        raise TemplateError("cannot render ill-formed template: " + "; ".join(problems))
-    parts = [profile.category]
-    for name in profile.feature_names():
-        parts.append((POSITIVE if POSITIVE + name in body else NEGATIVE) + name)
-    return "{" + ", ".join(parts) + "}"
+    text = profile._rendered.get(body)
+    if text is None:
+        problems = validate(body, profile)
+        if problems:
+            raise TemplateError("cannot render ill-formed template: " + "; ".join(problems))
+        text = profile._rendered[body]
+    return text
 
 
 def render_assignment(body: FeatureSet, profile: LanguageProfile) -> str:
@@ -229,8 +245,11 @@ def enumerate_candidates(profile: LanguageProfile, well_formed_only: bool = Fals
     return out
 
 
-class InitialTemplateError(KeyError):
-    pass
+class InitialTemplateError(TemplateError, KeyError):
+    """No initial template is registered for a language and cognitive set."""
+
+    # KeyError's str() would quote the message
+    __str__ = ValueError.__str__
 
 
 @dataclass

@@ -55,6 +55,46 @@ def test_missing_file_exits_two(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_corpus_exits_two(tmp_path, capsys):
+    bad = tmp_path / "not_utf8.tbmc"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (("validate", str(bad)), ("derive", str(bad), "a")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot read corpus:") and err.count("\n") == 1
+
+
+NO_INITIAL = (
+    'item id=sol_1 lang=french radical="sol" cogset=C '
+    "template={N, +SG, -PL, +M, -F, +DEF, -COL}\n"
+    "derive id=sol_2 base=sol_1 via=MDERIV target=C\n"
+)
+
+
+def test_validate_without_an_initial_template_exits_two(tmp_path, capsys):
+    path = tmp_path / "no_initial.tbmc"
+    path.write_text(NO_INITIAL, encoding="utf-8")
+    message = "error: item sol_2: no initial template for cognitive set 'C' in 'french'"
+    code, out, err = run(capsys, "validate", str(path), "--format", "records")
+    assert code == 2
+    assert err == message + "\n"
+    assert out == "result=fail\n"
+    code, out, err = run(capsys, "validate", str(path))  # text mode reports on stdout
+    assert code == 2
+    assert err == ""
+    assert out.splitlines()[0] == message
+
+
+def test_derive_without_an_initial_template_exits_two(tmp_path, capsys):
+    path = tmp_path / "no_initial.tbmc"
+    path.write_text(NO_INITIAL, encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(path), "sol_2")
+    assert code == 2
+    assert err == "no initial template for cognitive set 'C' in 'french'\n"
+    assert out == ""
+
+
 def test_solve_prints_the_gender_operand(capsys):
     code, out, _ = run(
         capsys, "solve",
@@ -153,6 +193,14 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
     assert out.count("pass") == 3
+
+
+@pytest.mark.parametrize("atoms", ["-3", "9"])
+def test_selfcheck_rejects_atoms_out_of_range(capsys, atoms):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selfcheck", "--atoms", atoms])
+    assert exit_info.value.code == 2
+    assert f"--atoms: invalid choice: {atoms} (choose from 1, 2, 3, 4)" in capsys.readouterr().err
 
 
 def test_records_format_is_tab_separated(capsys):

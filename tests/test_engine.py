@@ -15,6 +15,7 @@ from tbmc.engine import (
     RegistryError,
     RuleRegistry,
     ShiftError,
+    TraceNode,
     apply_gradient,
     chain_root,
     render_trace,
@@ -383,6 +384,36 @@ def test_trace_rendering_is_deterministic(fig2):
     text = render_trace(trace(fig2, "ieis_v"))
     assert text == render_trace(trace(fig2, "ieis_v"))
     assert "superseded" in text  # the widened-over intelligence reading
+
+
+def _render_trace_recursively(node, indent=0):
+    # the former recursive rendering, kept as the reference for the output bytes
+    shown = node.template.render() if node.template else "(no template)"
+    step = "head" if node.process is None else f"{node.process.value} {node.rule_id or '-'}"
+    mark = " superseded" if node.superseded else ""
+    gloss = f" '{node.gloss}'" if node.gloss else ""
+    line = f"{'  ' * indent}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}"
+    return "\n".join([line, *(_render_trace_recursively(c, indent + 1) for c in node.children)])
+
+
+def test_trace_rendering_matches_the_recursive_reference(fig2):
+    for item_id in fig2.items:
+        tree = trace(fig2, item_id)
+        for indent in (0, 3):
+            assert render_trace(tree, indent) == _render_trace_recursively(tree, indent)
+
+
+def test_rendering_a_5000_deep_path_needs_no_recursion():
+    template = rt("{N, +SG, -PL, -M, +F, -COL, +SING}")
+    node = None
+    for depth in range(5000, -1, -1):
+        node = TraceNode(
+            item_id=f"n{depth}", process=Formation.WIDENING if depth else None,
+            rule_id="R2" if depth else "head", template=template, stratum=depth,
+            gloss=None, superseded=False, children=(node,) if node else ())
+    lines = render_trace(node).split("\n")
+    assert len(lines) == 5001
+    assert lines[-1].startswith(" " * 10000 + "n5000  [WIDEN R2, stratum 5000]")
 
 
 def test_unknown_item_errors(fig2):

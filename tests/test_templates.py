@@ -164,3 +164,56 @@ def test_builtin_profile_registry():
     assert set(BUILTIN_PROFILES) == {"riffian", "french"}
     assert BUILTIN_PROFILES["riffian"].cardinality == 7
     assert BUILTIN_PROFILES["french"].cardinality == 7
+
+
+# -- the per-profile memo of well-formed bodies --------------------------------
+
+def _corpus_profile():
+    from tbmc import corpus
+
+    loaded = corpus.load(corpus.parse("profile breton category=N slots=[SG|PL, M|F, DEF]\n"))
+    assert not loaded.errors
+    return loaded.state.profiles["breton"]
+
+
+def _fresh(profile):
+    return LanguageProfile(profile.language, profile.category, profile.slots)
+
+
+def _outcome(candidate, profile):
+    try:
+        text = canonical_render(candidate, profile)
+    except TemplateError as exc:
+        text = f"TemplateError: {exc}"
+    return validate(candidate, profile), text
+
+
+@pytest.mark.parametrize("profile", [RIFFIAN, FRENCH, _corpus_profile()],
+                         ids=["riffian", "french", "corpus"])
+def test_memo_gives_the_results_of_a_fresh_profile(profile):
+    warmed = _fresh(profile)
+    candidates = enumerate_candidates(profile)
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for candidate in candidates:
+            assert _outcome(candidate, warmed) == _outcome(candidate, _fresh(profile))
+    assert set(warmed._rendered) == set(enumerate_candidates(profile, well_formed_only=True))
+
+
+def test_ill_formed_bodies_never_enter_the_memo():
+    profile = _fresh(RIFFIAN)
+    ill_formed = body("{N, +SG, -PL, +M, +F, -COL, +SING}")
+    for _ in range(2):
+        assert validate(ill_formed, profile)
+        with pytest.raises(TemplateError, match="cannot render ill-formed template"):
+            canonical_render(ill_formed, profile)
+    assert profile._rendered == {}
+
+
+def test_a_warmed_profile_equals_a_fresh_one():
+    warmed, fresh = _fresh(FRENCH), _fresh(FRENCH)
+    for candidate in enumerate_candidates(warmed, well_formed_only=True):
+        canonical_render(candidate, warmed)
+    assert warmed._rendered and not fresh._rendered
+    assert warmed == fresh == FRENCH
+    assert hash(warmed) == hash(fresh)
+    assert repr(warmed) == repr(fresh)
