@@ -10,6 +10,10 @@ Every command writes deterministically to stdout: identical invocations
 over identical corpora produce byte-identical output.  ``--format records``
 switches to one tab-separated ``key=value`` record per line with a stable
 field order, for golden-file comparison without a parser.
+
+Errors go to stderr, one line each, whatever the format.  ``validate``
+writes each ``error: ...`` line to stderr in both formats, and its text
+report also keeps those lines on stdout, so the report reads whole.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ def cmd_validate(args) -> int:
             print(issue.render(), file=sys.stderr)
         return INPUT_ERROR
     report = corpus_mod.validate(document)
+    for err in report.errors:
+        print(f"error: {err}", file=sys.stderr)
     if args.format == "records":
-        for err in report.errors:
-            print(f"error: {err}", file=sys.stderr)
         for row in report.rows:
             print(_record([
                 ("kind", row.kind), ("id", row.item_id),
@@ -224,7 +228,9 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.format == "records":
-        def emit(node, depth):
+        stack = [(tree, 0)]  # depth-first, first child first, as render_trace
+        while stack:
+            node, depth = stack.pop()
             print(_record([
                 ("id", node.item_id), ("depth", depth), ("stratum", node.stratum),
                 ("step", node.process.value if node.process else "head"),
@@ -232,9 +238,7 @@ def cmd_trace(args) -> int:
                 ("template", node.template.render() if node.template else "-"),
                 ("live", "false" if node.superseded else "true"),
             ]))
-            for child in node.children:
-                emit(child, depth + 1)
-        emit(tree, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
     else:
         print(engine.render_trace(tree))
     return OK

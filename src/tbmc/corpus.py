@@ -546,8 +546,16 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
     """Build a lexicon state from a parsed document.
 
     Built-in profiles and initial templates are seeded first; corpus
-    declarations override them.  Statement-level failures are collected with
-    their line numbers rather than aborting the rest of the load.
+    declarations override them, and a declaration equal to a built-in
+    profile reuses the built-in object, with the tables it has filled.
+    Statement-level failures are collected with their line numbers rather
+    than aborting the rest of the load.
+
+    Every noun item is then resolved once, in insertion order, so each
+    resolution is one gradient step off its already resolved base; the
+    snapshot and the snapshots derived from it answer ``engine.transfer``
+    by lookup.  Items that fail to resolve, and their derivatives, are left
+    unresolved for ``validate`` and the CLI to report.
     """
     profiles: Dict[str, LanguageProfile] = dict(BUILTIN_PROFILES)
     initials: InitialTemplates = default_initials()
@@ -555,7 +563,7 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
 
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
-            profiles[stmt.name] = LanguageProfile(stmt.name, stmt.category, stmt.slots)
+            profiles[stmt.name] = _declared_profile(stmt)
     for stmt in document.statements:
         if isinstance(stmt, InitialStmt):
             if stmt.language not in profiles:
@@ -575,7 +583,25 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
                 state = state.apply_formation(_to_edge(stmt))
         except ValueError as exc:
             errors.append(f"line {stmt.line}: {exc}")
+    unresolved = set()  # items whose resolution failed; their derivatives fail too
+    for item_id, item in state.items.items():
+        if item.category == VERB:
+            continue
+        edge = state.edges.get(item_id)
+        if edge is not None and edge.base_id in unresolved:
+            unresolved.add(item_id)  # skipped, so a failing chain costs one walk
+            continue
+        try:
+            engine.transfer(state, item_id)
+        except ValueError:
+            unresolved.add(item_id)  # raised again, with the item id, by validate and the CLI
     return LoadResult(state=state, document=document, errors=errors)
+
+
+def _declared_profile(stmt: ProfileStmt) -> LanguageProfile:
+    declared = LanguageProfile(stmt.name, stmt.category, stmt.slots)
+    builtin = BUILTIN_PROFILES.get(stmt.name)
+    return builtin if builtin == declared else declared
 
 
 def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
@@ -760,7 +786,7 @@ def serialize(document: CorpusDocument) -> str:
     languages: Dict[str, Optional[str]] = {}
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
-            profiles[stmt.name] = LanguageProfile(stmt.name, stmt.category, stmt.slots)
+            profiles[stmt.name] = _declared_profile(stmt)
         elif isinstance(stmt, ItemStmt):
             languages[stmt.id] = stmt.language
         elif isinstance(stmt, DeriveStmt):

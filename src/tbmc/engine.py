@@ -29,12 +29,13 @@ triggers can both fire on one record is rejected at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from . import algebra
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
 from .lexicon import (
     EMPTY_RECORD,
+    EdgeSpec,
     Formation,
     LexiconState,
     ShiftRecord,
@@ -44,6 +45,8 @@ from .templates import (
     InitialTemplates,
     LanguageProfile,
     Template,
+    shared_operand,
+    shared_template,
 )
 
 GENDER_FLIP: FeatureSet = frozenset({"+M", "-M", "+F", "-F"})
@@ -123,6 +126,8 @@ class DeltaOperand:
             raise RegistryError(f"gradient operand may not contain category atoms: {bad}")
 
     def build(self, profile: LanguageProfile) -> FeatureSet:
+        if not self.flip:
+            return self.fixed
         atoms = set(self.fixed)
         inventory = set(profile.feature_names())
         for name in self.flip:
@@ -290,7 +295,7 @@ def apply_gradient(
                 f"base template belongs to {record.base_template.profile.language}, "
                 f"not {profile.language}"
             )
-        operand = rule.mode.build(profile)
+        operand = shared_operand(profile, rule.mode.build(profile))
         body = algebra.symmetric_difference(record.base_template.body, operand)
         used: Optional[FeatureSet] = operand
     else:
@@ -303,7 +308,7 @@ def apply_gradient(
                 raise ShiftError(f"rule {rule.id} needs a donor gender on {record.render()}")
             body = _force_gender(body, record.donor_gender)
         used = None
-    derived = Template(profile, body)
+    derived = shared_template(profile, body)
     problems = derived.violations()
     if problems:
         raise ShiftError(
@@ -315,21 +320,22 @@ def apply_gradient(
 def shift_record(state: LexiconState, item_id: str) -> ShiftRecord:
     """The retrospective determinant of an item (the backward map).
 
-    Input heads map to the EMPTY record.  For derived items the base
-    template is resolved recursively through :func:`transfer`, so the record
-    always holds the base's *current* template, whatever its own depth.
+    Input heads map to the EMPTY record.  For derived items the record holds
+    the base's resolved template, read through :func:`transfer`.
     """
     state.item(item_id)
     edge = state.edges.get(item_id)
     if edge is None:
         return EMPTY_RECORD
     base_template = None
-    base_cogset = None
-    if edge.base_id is not None:
-        base = state.item(edge.base_id)
-        base_cogset = base.cogset
-        if base.category != VERB:
-            base_template = transfer(state, edge.base_id).template
+    if edge.base_id is not None and state.item(edge.base_id).category != VERB:
+        base_template = transfer(state, edge.base_id).template
+    return _record(state, item_id, edge, base_template)
+
+
+def _record(state: LexiconState, item_id: str, edge: EdgeSpec,
+            base_template: Optional[Template]) -> ShiftRecord:
+    base_cogset = state.items[edge.base_id].cogset if edge.base_id is not None else None
     return ShiftRecord(
         process=edge.process,
         base_template=base_template,
@@ -343,42 +349,61 @@ def shift_record(state: LexiconState, item_id: str) -> ShiftRecord:
     )
 
 
+def _resolves_through(state: LexiconState, edge: Optional[EdgeSpec]) -> bool:
+    """Whether an item's template depends on its base's (a noun base)."""
+    return (edge is not None and edge.base_id is not None
+            and state.item(edge.base_id).category != VERB)
+
+
 def transfer(state: LexiconState, item_id: str) -> ShiftResult:
     """Item to template: declared for heads, gradient output otherwise.
 
-    Memoized per state snapshot; the cache fill is idempotent, so concurrent
-    readers of one snapshot stay consistent.
+    A lookup in the snapshot's resolution map, which ``corpus.load`` fills
+    for every item and transitions carry forward.  On a miss the map is
+    filled without recursion: walk up to the nearest resolved ancestor or
+    the chain's head, then resolve downward one gradient step per item.
+    Failures are not stored, so they are raised again on every call.  The
+    writes are idempotent and the walk keeps its own seen-set, so several
+    threads may read one snapshot.
     """
-    key = ("transfer", item_id)
-    if key in state._cache:
-        return state._cache[key]
+    resolved = state._resolved
+    hit = resolved.get(item_id)
+    if hit is not None:
+        return hit
     item = state.item(item_id)
     if item.category == VERB:
         raise ShiftError(f"item {item_id}: category {VERB} has no registered template inventory")
-    guard = ("resolving", item_id)
-    if guard in state._cache:
-        raise ShiftError(f"cycle detected while resolving {item_id!r}")
-    state._cache[guard] = True
-    try:
-        if item_id not in state.edges:
+    pending = [item_id]  # the walk up to a resolved ancestor or the head
+    seen = {item_id}
+    edge = state.edges.get(item_id)
+    while _resolves_through(state, edge) and edge.base_id not in resolved:
+        current = edge.base_id
+        if current in seen:
+            raise ShiftError(f"cycle detected while resolving {current!r}")
+        seen.add(current)
+        pending.append(current)
+        edge = state.edges.get(current)
+    rules = state.rules if state.rules is not None else DEFAULT_RULES
+    for current in reversed(pending):
+        edge = state.edges.get(current)
+        item = state.items[current]
+        if edge is None:
             if item.template is None:
                 raise ShiftError(
-                    f"item {item_id}: no declared template and no derivation edge"
+                    f"item {current}: no declared template and no derivation edge"
                 )
             result = ShiftResult(
                 template=item.template,
                 rule_id="head",
                 operand=None,
-                stratum=state.strata[item_id],
+                stratum=state.strata[current],
             )
         else:
-            record = shift_record(state, item_id)
-            rules = state.rules if state.rules is not None else DEFAULT_RULES
-            profile = state.profile_for(item)
-            result = apply_gradient(record, profile, state.initials, rules)
-    finally:
-        del state._cache[guard]
-    state._cache[key] = result
+            base_template = resolved[edge.base_id].template if _resolves_through(state, edge) else None
+            record = _record(state, current, edge, base_template)
+            result = apply_gradient(record, state.profile_for(item), state.initials, rules)
+        # first writer wins, so racing readers return one object per item
+        result = resolved.setdefault(current, result)
     return result
 
 
@@ -463,11 +488,19 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
             if edge.base_id is not None:
                 derived_of.setdefault(edge.base_id, []).append(did)
 
-        def build(current: str) -> TraceNode:
-            kids = tuple(build(d) for d in sorted(derived_of.get(current, [])))
-            return _node(state, current, kids)
-
-        return build(root)
+        # post-order over an explicit stack, first child first, so a tree
+        # of any depth builds, and nodes are made in the recursive order
+        built: Dict[str, TraceNode] = {}
+        stack: List[Tuple[str, Optional[List[str]]]] = [(root, None)]
+        while stack:
+            current, kids = stack.pop()
+            if kids is None:
+                kids = sorted(derived_of.get(current, []))
+                stack.append((current, kids))
+                stack.extend((k, None) for k in reversed(kids))
+            else:
+                built[current] = _node(state, current, tuple(built.pop(k) for k in kids))
+        return built[root]
     path: List[str] = [item_id]
     while path[-1] != root:
         path.append(state.edges[path[-1]].base_id)

@@ -165,7 +165,17 @@ EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_i
 
 @dataclass(frozen=True)
 class LexiconState:
-    """Immutable lexicon snapshot; all transitions return a new state."""
+    """Immutable lexicon snapshot; all transitions return a new state.
+
+    Beside the lexicon, a snapshot keeps ``_resolved``: the resolution
+    (``engine.ShiftResult``) of each item resolved so far.  ``corpus.load``
+    resolves every noun item when it builds a snapshot, and ``add_item`` and
+    ``apply_formation`` carry the parent's resolutions forward as a copy.
+    That is sound because an insert never changes an existing item's
+    resolution: bases precede derivatives, and rules, profiles and initials
+    are fixed per snapshot.  ``engine.transfer`` adds entries on a miss, by
+    idempotent writes, so the map is left out of equality and repr.
+    """
 
     profiles: Mapping[str, LanguageProfile]
     initials: InitialTemplates
@@ -175,7 +185,8 @@ class LexiconState:
     strata: Dict[str, int] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
     rules: Optional[object] = None  # engine.RuleRegistry; engine default when None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # item id -> engine.ShiftResult, filled by engine.transfer; see the class docstring
+    _resolved: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -248,7 +259,7 @@ class LexiconState:
         items[item.id] = item
         strata = dict(self.strata)
         strata[item.id] = 0
-        return replace(self, items=items, strata=strata, _cache={})
+        return replace(self, items=items, strata=strata, _resolved=dict(self._resolved))
 
     def apply_formation(self, spec: EdgeSpec) -> "LexiconState":
         """Apply one formation edge and return the successor state.
@@ -337,7 +348,7 @@ class LexiconState:
             superseded=superseded,
             strata=strata,
             warnings=warnings,
-            _cache={},
+            _resolved=dict(self._resolved),
         )
 
     # Replaying is used by determinism checks and by the randomized ledger

@@ -63,8 +63,11 @@ class LanguageProfile:
     language: str
     category: str
     slots: Tuple[Slot, ...]
-    # well-formed bodies validated so far -> canonical text; see validate()
-    _rendered: Dict[FeatureSet, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # feature sets met under this profile -> (their one shared object, canonical
+    # text): a well-formed body maps to its Template and text, a gradient
+    # operand to itself and None; see validate(), shared_template(), shared_operand()
+    _shared: Dict[FeatureSet, Tuple[object, Optional[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = self.feature_names()
@@ -114,11 +117,12 @@ def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
     profile category plus, per slot, a legal sign assignment.  Never raises.
 
     Memoized per profile: a body found well-formed is stored with its
-    canonical text, so later calls on it return at once.  Ill-formed bodies
-    are never stored and are checked afresh each time, so the memo holds at
-    most the well-formed bodies actually seen.
+    canonical text and its one shared :class:`Template`, so later calls on
+    it return at once.  Ill-formed bodies are never stored and are checked
+    afresh each time, so the table holds at most the well-formed bodies
+    actually seen (plus the few operands :func:`shared_operand` keeps).
     """
-    if body in profile._rendered:
+    if profile._shared.get(body, (None, None))[1] is not None:
         return []
     problems: List[str] = []
     categories = sorted(a for a in body if algebra.is_category(a))
@@ -144,7 +148,8 @@ def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
         parts = [profile.category]
         for name in profile.feature_names():
             parts.append((POSITIVE if POSITIVE + name in body else NEGATIVE) + name)
-        profile._rendered[body] = "{" + ", ".join(parts) + "}"
+        # first writer wins, so concurrent validations share one Template
+        profile._shared.setdefault(body, (Template(profile, body), "{" + ", ".join(parts) + "}"))
     return problems
 
 
@@ -157,16 +162,37 @@ def canonical_render(body: FeatureSet, profile: LanguageProfile) -> str:
 
     Requires a well-formed body; this is the display form used everywhere a
     template is printed or tallied, so it must be total and deterministic.
-    The text is the one :func:`validate` stored in the profile's memo, so a
+    The text is the one :func:`validate` stored in the profile's table, so a
     body already seen is rendered by one lookup.
     """
-    text = profile._rendered.get(body)
+    text = profile._shared.get(body, (None, None))[1]
     if text is None:
         problems = validate(body, profile)
         if problems:
             raise TemplateError("cannot render ill-formed template: " + "; ".join(problems))
-        text = profile._rendered[body]
+        text = profile._shared[body][1]
     return text
+
+
+def shared_template(profile: LanguageProfile, body: FeatureSet) -> Template:
+    """The profile's one :class:`Template` for ``body`` when it is well-formed.
+
+    Resolved snapshots hold one result per item but only a handful of
+    distinct bodies, so equal bodies share one object.  An ill-formed body
+    gets a new Template that is never stored, for the caller to report.
+    """
+    if validate(body, profile):
+        return Template(profile, body)
+    return profile._shared[body][0]
+
+
+def shared_operand(profile: LanguageProfile, operand: FeatureSet) -> FeatureSet:
+    """The profile's one object for a gradient operand equal to ``operand``.
+
+    Operands are category-free, so they never collide with a well-formed
+    body in the profile's table.
+    """
+    return profile._shared.setdefault(operand, (operand, None))[0]
 
 
 def render_assignment(body: FeatureSet, profile: LanguageProfile) -> str:

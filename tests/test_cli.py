@@ -80,9 +80,9 @@ def test_validate_without_an_initial_template_exits_two(tmp_path, capsys):
     assert code == 2
     assert err == message + "\n"
     assert out == "result=fail\n"
-    code, out, err = run(capsys, "validate", str(path))  # text mode reports on stdout
+    code, out, err = run(capsys, "validate", str(path))  # text mode: stdout too
     assert code == 2
-    assert err == ""
+    assert err == message + "\n"
     assert out.splitlines()[0] == message
 
 
@@ -93,6 +93,34 @@ def test_derive_without_an_initial_template_exits_two(tmp_path, capsys):
     assert code == 2
     assert err == "no initial template for cognitive set 'C' in 'french'\n"
     assert out == ""
+
+
+@pytest.fixture(scope="module")
+def deep_chain(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "deep.tbmc"
+    path.write_text("\n".join(
+        ['item id=c0 lang=riffian radical="ka" cogset=C '
+         "template={N, +SG, -PL, +M, -F, -COL, +SING}"]
+        + [f"derive id=c{k} base=c{k - 1} via=CONV" for k in range(1, 5000)]) + "\n",
+        encoding="utf-8")
+    return str(path)
+
+
+TIP = "{N, +SG, -PL, -M, +F, -COL, +SING}"
+
+
+@pytest.mark.parametrize("argv, count, line", [
+    (("derive", "c4999"), 7, "stratum: 4999"),
+    (("trace", "c4999"), 5000, " " * 9998 + f"c4999  [CONV R1, stratum 4999]  {TIP}"),
+    (("trace", "c0"), 5000, " " * 9998 + f"c4999  [CONV R1, stratum 4999]  {TIP}"),
+    (("trace", "c0", "--format", "records"), 5000,
+     f"id=c4999\tdepth=4999\tstratum=4999\tstep=CONV\trule=R1\ttemplate={TIP}\tlive=true"),
+], ids=["derive-tip", "trace-tip", "trace-head", "trace-head-records"])
+def test_a_5000_deep_chain_derives_and_traces(deep_chain, capsys, argv, count, line):
+    code, out, err = run(capsys, argv[0], deep_chain, *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == count
+    assert line in out.splitlines()
 
 
 def test_solve_prints_the_gender_operand(capsys):

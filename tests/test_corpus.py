@@ -16,6 +16,7 @@ from tbmc.corpus import (
     validate,
 )
 from tbmc.lexicon import Formation
+from tbmc.templates import FRENCH, RIFFIAN
 
 HEADER = 'profile riffian category=N slots=[SG|PL, M|F, COL|SING]\n'
 GLAND = (
@@ -139,6 +140,13 @@ def test_corpus_initial_overrides_the_builtin():
     loaded = load(doc)
     assert loaded.state.initials.get("riffian", "C").render() == \
         "{N, +SG, -PL, +M, -F, -COL, +SING}"
+
+
+def test_declared_builtin_profiles_reuse_the_builtin_objects(fig2_document):
+    assert load(fig2_document).state.profiles["riffian"] is RIFFIAN
+    assert load(parse(GLAND)).state.profiles["french"] is FRENCH
+    other = load(parse("profile riffian category=N slots=[SG|PL, M|F]\n")).state
+    assert other.profiles["riffian"] != RIFFIAN
 
 
 def test_item_without_cogset_or_template_is_a_verb():

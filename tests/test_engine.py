@@ -1,8 +1,12 @@
 """Gradient rules, the transfer map, operand solving, and traces."""
 
+import random
+import sys
+import threading
+
 import pytest
 
-from tbmc import algebra
+from tbmc import algebra, corpus
 from tbmc.engine import (
     Clause,
     DEFAULT_RULES,
@@ -33,7 +37,13 @@ from tbmc.lexicon import (
     ShiftRecord,
     new_state,
 )
-from tbmc.templates import RIFFIAN, default_initials, enumerate_candidates, make_template
+from tbmc.templates import (
+    RIFFIAN,
+    LanguageProfile,
+    default_initials,
+    enumerate_candidates,
+    make_template,
+)
 
 
 def rt(text):
@@ -438,3 +448,154 @@ def test_cycle_detection_on_a_corrupted_state():
         transfer(cyc, "a")
     with pytest.raises(ShiftError, match="cycle"):
         chain_root(cyc, "a")
+
+
+# -- resolutions: filled at load, carried forward, filled lazily ----------------
+
+def _deep_corpus_text(depth=400, chains=3, seed=7):
+    """Riffian chains ``depth`` long mixing the four processes, plus short
+    chains off a verb head and a borrowing."""
+    rng = random.Random(seed)
+    lines = [
+        'item id=v lang=riffian radical="fk"',
+        "derive id=v_1 base=v via=CONV target=U",
+        "derive id=v_2 base=v_1 via=CONV",
+        'derive id=b_0 via=BORROW lang=riffian radical="br" target=U donor_gender=M',
+        "derive id=b_1 base=b_0 via=WIDEN",
+    ]
+    for c in range(chains):
+        lines.append(f'item id=h{c} lang=riffian radical="ka" cogset=C '
+                     "template={N, +SG, -PL, +M, -F, -COL, +SING}")
+        tip = f"h{c}"
+        for k in range(1, depth + 1):
+            via = rng.choice(["CONV", "CONV", "CONV", "WIDEN", "MDERIV"])
+            extra = ""
+            if via == "CONV":
+                extra = rng.choice(["", " animate=true", " gradcond=R3", " target=U"])
+            elif via == "MDERIV":
+                extra = " target=" + rng.choice(["C", "U", "NA"])
+            lines.append(f"derive id=h{c}_{k} base={tip} via={via}{extra}")
+            tip = f"h{c}_{k}"
+    return "\n".join(lines) + "\n"
+
+
+def _deep_state():
+    loaded = corpus.load(corpus.parse(_deep_corpus_text()))
+    assert not loaded.errors
+    return loaded.state
+
+
+def _by_transitions(state):
+    """The same snapshot rebuilt by add_item/apply_formation alone, on fresh
+    profiles, so nothing is resolved and nothing is shared with ``state``."""
+    profiles = {name: LanguageProfile(p.language, p.category, p.slots)
+                for name, p in state.profiles.items()}
+    cold = new_state(profiles, state.initials, rules=state.rules)
+    for item_id, item in state.items.items():
+        edge = state.edges.get(item_id)
+        cold = cold.add_item(item) if edge is None else cold.apply_formation(edge)
+    assert not cold._resolved
+    return cold
+
+
+def _key(result):
+    return result.template, result.rule_id, result.stratum, result.operand
+
+
+def test_loaded_resolutions_equal_cold_ones(fig2, example1, table3):
+    for state in (fig2, example1, table3, _deep_state()):
+        nouns = [i for i, item in state.items.items() if item.category != "V"]
+        assert set(state._resolved) == set(nouns)  # load resolved every noun
+        cold = _by_transitions(state)
+        for item_id in reversed(nouns):  # tips first, so misses walk whole chains
+            assert _key(transfer(state, item_id)) == _key(transfer(cold, item_id)), item_id
+        for name, profile in state.profiles.items():
+            fresh = LanguageProfile(profile.language, profile.category, profile.slots)
+            assert profile == fresh and hash(profile) == hash(fresh)
+            assert repr(profile) == repr(fresh)
+
+
+def test_resolutions_share_templates_and_operands():
+    state = _deep_state()
+    results = list(state._resolved.values())
+    derived = [r for r in results if r.rule_id != "head"]
+    templates = {r.template.body: r.template for r in derived}
+    operands = {r.operand: r.operand for r in derived if r.operand is not None}
+    assert len(templates) <= 8 and len(operands) <= 3
+    assert all(r.template is templates[r.template.body] for r in derived)
+    assert all(r.operand is operands[r.operand] for r in derived if r.operand is not None)
+
+
+def test_a_5000_deep_chain_resolves_lazily_without_recursion():
+    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = state.add_item(Item(id="c0", language="riffian", radical="ka", cogset="C",
+                                template=NA_INITIAL))
+    for k in range(1, 5000):
+        state = state.apply_formation(EdgeSpec(
+            derived_id=f"c{k}", process=Formation.CONVERSION, base_id=f"c{k - 1}"))
+    result = transfer(state, "c4999")
+    assert (result.rule_id, result.stratum) == ("R1", 4999)
+    assert result.template.body == algebra.symmetric_difference(NA_INITIAL.body, GENDER_FLIP)
+    assert len(state._resolved) == 5000
+
+
+def test_concurrent_readers_of_one_snapshot_agree():
+    def build():
+        state = new_state({"riffian": RIFFIAN}, default_initials())
+        for c in range(3):
+            state = state.add_item(Item(id=f"h{c}", language="riffian", radical="ka",
+                                        cogset="C", template=NA_INITIAL))
+            for k in range(1, 10):
+                state = state.apply_formation(EdgeSpec(
+                    derived_id=f"h{c}_{k}", process=Formation.CONVERSION,
+                    base_id=f"h{c}_{k - 1}" if k > 1 else f"h{c}", animate=k % 3 == 0))
+        return state
+
+    expected = {i: _key(transfer(build(), i)) for i in build().items}
+    ids = list(expected)
+    assert len(ids) == 30
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            state = build()  # lazy: nothing resolved yet
+            start = threading.Barrier(4)
+            failures, results = [], []
+
+            def read(order):
+                start.wait()
+                try:
+                    results.append({i: _key(transfer(state, i)) for i in order})
+                except Exception as exc:  # a false cycle or any other error
+                    failures.append(exc)
+
+            orders = [ids, ids[::-1], ids[1::2] + ids[::2], sorted(ids)]
+            threads = [threading.Thread(target=read, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_sibling_what_ifs_keep_their_own_results(fig2):
+    before = dict(fig2._resolved)
+    inanimate = fig2.apply_formation(EdgeSpec(
+        derived_id="whatif", process=Formation.CONVERSION, base_id="sendu_2"))
+    animate = fig2.apply_formation(EdgeSpec(
+        derived_id="whatif", process=Formation.CONVERSION, base_id="sendu_2", animate=True))
+    derived = fig2.apply_formation(EdgeSpec(
+        derived_id="whatif", process=Formation.DERIVATION, base_id="samer_1", target="NA"))
+    first = transfer(inanimate, "whatif")
+    assert (first.rule_id, first.stratum) == ("R1", 3)
+    assert transfer(animate, "whatif").rule_id == "R2"
+    assert transfer(animate, "whatif").template == transfer(fig2, "sendu_2").template
+    assert transfer(derived, "whatif").rule_id == "R4"
+    assert transfer(inanimate, "whatif") is first
+    assert fig2._resolved == before and "whatif" not in fig2._resolved
+    with pytest.raises(ValueError, match="unknown item"):
+        transfer(fig2, "whatif")

@@ -20,6 +20,8 @@ from tbmc.templates import (
     make_template,
     parse_template_text,
     render_operand,
+    shared_operand,
+    shared_template,
     validate,
 )
 
@@ -196,7 +198,7 @@ def test_memo_gives_the_results_of_a_fresh_profile(profile):
     for _ in range(2):  # the first pass fills the memo, the second reads it
         for candidate in candidates:
             assert _outcome(candidate, warmed) == _outcome(candidate, _fresh(profile))
-    assert set(warmed._rendered) == set(enumerate_candidates(profile, well_formed_only=True))
+    assert set(warmed._shared) == set(enumerate_candidates(profile, well_formed_only=True))
 
 
 def test_ill_formed_bodies_never_enter_the_memo():
@@ -206,14 +208,34 @@ def test_ill_formed_bodies_never_enter_the_memo():
         assert validate(ill_formed, profile)
         with pytest.raises(TemplateError, match="cannot render ill-formed template"):
             canonical_render(ill_formed, profile)
-    assert profile._rendered == {}
+        assert shared_template(profile, ill_formed).body == ill_formed
+    assert profile._shared == {}
 
 
 def test_a_warmed_profile_equals_a_fresh_one():
     warmed, fresh = _fresh(FRENCH), _fresh(FRENCH)
     for candidate in enumerate_candidates(warmed, well_formed_only=True):
         canonical_render(candidate, warmed)
-    assert warmed._rendered and not fresh._rendered
+    shared_operand(warmed, frozenset({"+M", "-M", "+F", "-F"}))
+    assert warmed._shared and not fresh._shared
     assert warmed == fresh == FRENCH
     assert hash(warmed) == hash(fresh)
     assert repr(warmed) == repr(fresh)
+
+
+def test_equal_bodies_and_operands_share_one_object():
+    profile = _fresh(RIFFIAN)
+    text = "{N, +SG, -PL, -M, +F, -COL, +SING}"
+    first, second = body(text), body(text)
+    assert first is not second
+    shared = shared_template(profile, first)
+    assert shared == Template(profile, second)
+    assert shared_template(profile, second) is shared
+    assert canonical_render(second, profile) == text
+    operand = frozenset({"+M", "-M", "+F", "-F"})
+    kept = shared_operand(profile, operand)
+    assert kept is operand
+    assert shared_operand(profile, frozenset(sorted(operand))) is kept
+    # an operand is never a well-formed body, so it does not validate
+    assert validate(operand, profile)
+    assert set(profile._shared) == {first, operand}
