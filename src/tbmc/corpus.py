@@ -30,9 +30,11 @@ transliteration variants collapsed, making serialization byte-stable.
 
 from __future__ import annotations
 
+import functools
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import engine, realizer
 from .algebra import FeatureSet
@@ -155,6 +157,8 @@ class CorpusDocument:
 # -- tokenizing ----------------------------------------------------------------
 
 def _strip_comment(raw: str) -> str:
+    if "#" not in raw:
+        return raw
     depth = 0
     in_quote = False
     for pos, ch in enumerate(raw):
@@ -171,18 +175,21 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
+# ``\s`` matches exactly the characters for which ``str.isspace()`` is true
+_SPACES = re.compile(r"\s*")
+_SPACE = re.compile(r"\s")
+_BARE = re.compile(r"\S*")
+
+
 def _scan_fields(text: str, line: int, offset: int, issues: List[ParseIssue]) -> List[Tuple[str, str, int]]:
     """Split ``key=value`` fields; values may be quoted, braced or bracketed."""
     fields: List[Tuple[str, str, int]] = []
-    pos = 0
     n = len(text)
+    pos = _SPACES.match(text).end()
     while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
         start = pos
         eq = text.find("=", pos)
-        if eq < 0 or any(text[i].isspace() for i in range(pos, eq)):
+        if eq < 0 or _SPACE.search(text, pos, eq):
             issues.append(ParseIssue(line, offset + pos + 1, f"expected key=value, found {text[pos:].split()[0]!r}"))
             return fields
         key = text[pos:eq]
@@ -207,12 +214,11 @@ def _scan_fields(text: str, line: int, offset: int, issues: List[ParseIssue]) ->
             value = text[pos:end + 1]
             pos = end + 1
         else:
-            end = pos
-            while end < n and not text[end].isspace():
-                end += 1
+            end = _BARE.match(text, pos).end()
             value = text[pos:end]
             pos = end
         fields.append((key, value, offset + start + 1))
+        pos = _SPACES.match(text, pos).end()
     return fields
 
 
@@ -251,12 +257,20 @@ def _switch(raw: str, key: str, line: int, col: int, issues: List[ParseIssue]) -
     return True
 
 
-def _template_value(raw: str, line: int, col: int, issues: List[ParseIssue]) -> Optional[FeatureSet]:
+def _template_value(
+    raw: str, line: int, col: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
+) -> Optional[FeatureSet]:
+    """A template body; ``templates`` holds the bodies one ``parse`` call has read."""
+    body = templates.get(raw)
+    if body is not None:
+        return body
     try:
-        return parse_template_text(raw)
+        body = templates[raw] = parse_template_text(raw)
     except ValueError as exc:
+        # failures are not memoized: each one reports its own column
         issues.append(ParseIssue(line, col, str(exc)))
         return None
+    return body
 
 
 _ITEM_KEYS = (
@@ -292,7 +306,8 @@ def parse(text: str) -> CorpusDocument:
     issues: List[ParseIssue] = []
     statements: List[Statement] = []
     declared: Dict[str, int] = {}  # item/derive id -> line
-    all_ids = _prescan_ids(text)
+    templates: Dict[str, FeatureSet] = {}  # template text -> body, for this call only
+    all_ids = functools.cache(lambda: _prescan_ids(text))  # scanned once an undeclared base needs it
     profiles_seen: Dict[str, int] = {}
     initials_seen: Dict[Tuple[str, str], int] = {}
 
@@ -314,7 +329,7 @@ def parse(text: str) -> CorpusDocument:
                     profiles_seen[stmt.name] = line_no
                     statements.append(stmt)
         elif head == "initial":
-            stmt = _parse_initial(rest, line_no, body_offset, issues)
+            stmt = _parse_initial(rest, line_no, body_offset, issues, templates)
             if stmt is not None:
                 key = (stmt.language, stmt.cogset)
                 if key in initials_seen:
@@ -325,11 +340,11 @@ def parse(text: str) -> CorpusDocument:
                     initials_seen[key] = line_no
                     statements.append(stmt)
         elif head == "item":
-            stmt = _parse_item(rest, line_no, body_offset, issues)
+            stmt = _parse_item(rest, line_no, body_offset, issues, templates)
             if stmt is not None and _check_id(stmt.id, line_no, declared, issues):
                 statements.append(stmt)
         elif head == "derive":
-            stmt = _parse_derive(rest, line_no, body_offset, issues, declared, all_ids)
+            stmt = _parse_derive(rest, line_no, body_offset, issues, templates, declared, all_ids)
             if stmt is not None and _check_id(stmt.id, line_no, declared, issues):
                 statements.append(stmt)
         else:
@@ -380,7 +395,9 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
     return ProfileStmt(line=line, name=name, category=fields["category"][0], slots=tuple(slots))
 
 
-def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[InitialStmt]:
+def _parse_initial(
+    rest: str, line: int, offset: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
+) -> Optional[InitialStmt]:
     lhs, eq, rhs = rest.partition("=")
     if not eq:
         issues.append(ParseIssue(line, offset, "initial needs the form LANG.COGSET = {TEMPLATE}"))
@@ -390,7 +407,7 @@ def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
         issues.append(ParseIssue(line, offset, f"initial reference {ref!r} must be LANG.COGSET"))
         return None
     language, _, cogset = ref.partition(".")
-    body = _template_value(rhs.strip(), line, offset, issues)
+    body = _template_value(rhs.strip(), line, offset, issues, templates)
     if body is None:
         return None
     return InitialStmt(line=line, language=language, cogset=cogset, body=body)
@@ -399,10 +416,12 @@ def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
 class _Fields:
     """Typed accessors over scanned key=value pairs for one statement."""
 
-    def __init__(self, fields: Dict[str, Tuple[str, int]], line: int, issues: List[ParseIssue]):
+    def __init__(self, fields: Dict[str, Tuple[str, int]], line: int, issues: List[ParseIssue],
+                 templates: Dict[str, FeatureSet]):
         self.fields = fields
         self.line = line
         self.issues = issues
+        self.templates = templates
 
     def __contains__(self, key: str) -> bool:
         return key in self.fields
@@ -434,17 +453,20 @@ class _Fields:
         if key not in self.fields:
             return None
         value, col = self.fields[key]
-        return _template_value(value, self.line, col, self.issues)
+        return _template_value(value, self.line, col, self.issues, self.templates)
 
 
-def _parse_item(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[ItemStmt]:
+def _parse_item(
+    rest: str, line: int, offset: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
+) -> Optional[ItemStmt]:
     scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _ITEM_KEYS, line, issues)
     missing = [k for k in ("id", "lang", "radical") if k not in scanned]
     if missing:
         issues.append(ParseIssue(line, offset, f"item is missing {', '.join(missing)}"))
         return None
-    f = _Fields(scanned, line, issues)
-    if "template" in f and f.template("template") is None:
+    f = _Fields(scanned, line, issues, templates)
+    template = f.template("template")
+    if "template" in f and template is None:
         return None
     return ItemStmt(
         line=line,
@@ -452,7 +474,7 @@ def _parse_item(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> 
         language=f.raw("lang"),
         radical=f.phonetic("radical"),
         cogset=f.raw("cogset"),
-        template=f.template("template"),
+        template=template,
         gloss=f.text("gloss"),
         animate=f.boolean("animate"),
         recent_loan=f.boolean("recent_loan"),
@@ -470,15 +492,16 @@ def _parse_derive(
     line: int,
     offset: int,
     issues: List[ParseIssue],
+    templates: Dict[str, FeatureSet],
     declared: Dict[str, int],
-    all_ids: Dict[str, int],
+    all_ids: Callable[[], Dict[str, int]],
 ) -> Optional[DeriveStmt]:
     scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _DERIVE_KEYS, line, issues)
     missing = [k for k in ("id", "via") if k not in scanned]
     if missing:
         issues.append(ParseIssue(line, offset, f"derive is missing {', '.join(missing)}"))
         return None
-    f = _Fields(scanned, line, issues)
+    f = _Fields(scanned, line, issues, templates)
     try:
         via = formation_from_token(f.raw("via"))
     except ValueError as exc:
@@ -490,9 +513,10 @@ def _parse_derive(
         issues.append(ParseIssue(line, offset, f"{via.value} derives need base=; only BORROW may omit it"))
         return None
     if base is not None and base not in declared:
-        if base in all_ids:
+        later = all_ids()
+        if base in later:
             message = (
-                f"forward reference: base {base!r} is declared at line {all_ids[base]}, "
+                f"forward reference: base {base!r} is declared at line {later[base]}, "
                 f"after this derive at line {line}"
             )
         else:
@@ -500,7 +524,8 @@ def _parse_derive(
         issues.append(ParseIssue(line, scanned["base"][1], message))
         return None
 
-    if "expect_template" in f and f.template("expect_template") is None:
+    expect_template = f.template("expect_template")
+    if "expect_template" in f and expect_template is None:
         return None
     donor = f.raw("donor_gender")
     if donor is not None and donor not in ("M", "F"):
@@ -522,7 +547,7 @@ def _parse_derive(
         donor_gender=donor,
         gradcond=f.raw("gradcond"),
         surface=f.phonetic("surface"),
-        expect_template=f.template("expect_template"),
+        expect_template=expect_template,
         expect_surface=f.phonetic("expect_surface"),
         fem_prefix=f.switch("fem_prefix"),
         fem_suffix=f.switch("fem_suffix"),
@@ -549,7 +574,10 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
     declarations override them, and a declaration equal to a built-in
     profile reuses the built-in object, with the tables it has filled.
     Statement-level failures are collected with their line numbers rather
-    than aborting the rest of the load.
+    than aborting the rest of the load; a failing statement leaves nothing
+    behind.  The statements are inserted in place into one private
+    :class:`~tbmc.lexicon.Draft`, returned frozen as a plain
+    ``LexiconState``, so load is linear in the corpus size.
 
     Every noun item is then resolved once, in insertion order, so each
     resolution is one gradient step off its already resolved base; the
@@ -574,28 +602,40 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
             except TemplateError as exc:
                 errors.append(f"line {stmt.line}: {exc}")
 
-    state = new_state(profiles, initials, rules=rules)
+    draft = new_state(profiles, initials, rules=rules).draft()
     for stmt in document.statements:
         try:
             if isinstance(stmt, ItemStmt):
-                state = state.add_item(_to_item(stmt, profiles))
+                draft.add_item(_to_item(stmt, profiles))
             elif isinstance(stmt, DeriveStmt):
-                state = state.apply_formation(_to_edge(stmt))
+                draft.apply_formation(_to_edge(stmt))
         except ValueError as exc:
             errors.append(f"line {stmt.line}: {exc}")
-    unresolved = set()  # items whose resolution failed; their derivatives fail too
+    state = draft.freeze()
+    _resolve_all(state)  # failures are reported again by validate and the CLI
+    return LoadResult(state=state, document=document, errors=errors)
+
+
+def _resolve_all(state: LexiconState) -> Dict[str, str]:
+    """Resolve every noun item in insertion order; the failures' messages by item.
+
+    An item whose noun base failed fails with the base's message and is not
+    walked again, so a failing chain costs one walk: ``engine.transfer``
+    raises the first failure at the top of the chain, which is the base's.
+    """
+    failed: Dict[str, str] = {}
     for item_id, item in state.items.items():
         if item.category == VERB:
             continue
         edge = state.edges.get(item_id)
-        if edge is not None and edge.base_id in unresolved:
-            unresolved.add(item_id)  # skipped, so a failing chain costs one walk
+        if edge is not None and edge.base_id in failed:
+            failed[item_id] = failed[edge.base_id]
             continue
         try:
             engine.transfer(state, item_id)
-        except ValueError:
-            unresolved.add(item_id)  # raised again, with the item id, by validate and the CLI
-    return LoadResult(state=state, document=document, errors=errors)
+        except ValueError as exc:
+            failed[item_id] = str(exc)
+    return failed
 
 
 def _declared_profile(stmt: ProfileStmt) -> LanguageProfile:
@@ -724,13 +764,9 @@ def validate(document: CorpusDocument, rules: Optional[object] = None) -> Valida
     errors = list(loaded.errors)
     rows: List[CheckRow] = []
 
-    for item_id, item in state.items.items():
-        if item.category == VERB:
-            continue
-        try:
-            engine.transfer(state, item_id)
-        except ValueError as exc:
-            errors.append(f"item {item_id}: {exc}")
+    for item_id, message in _resolve_all(state).items():
+        prefix = f"item {item_id}: "
+        errors.append(message if message.startswith(prefix) else prefix + message)
 
     for item_id, edge in state.edges.items():
         if edge.expect_template is None or item_id not in state.items:

@@ -4,7 +4,11 @@ A :class:`LexiconState` is an immutable snapshot: items by id, one
 :class:`EdgeSpec` per derived item, the set of superseded ids, and a
 stratum (derivation depth) per item.  ``apply_formation`` is a pure
 transition returning a new snapshot, so replaying an edge list over the
-same initial items always reproduces the same state.
+same initial items always reproduces the same state.  A transition copies
+the snapshot's tables once and inserts into the copy; ``corpus.load``
+instead builds one private :class:`Draft` in place, statement by
+statement, and returns it frozen, so loading a corpus is linear in its
+size.
 
 Word and meaning formation comes in four kinds with different ledger
 semantics:
@@ -167,6 +171,11 @@ EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_i
 class LexiconState:
     """Immutable lexicon snapshot; all transitions return a new state.
 
+    ``add_item`` and ``apply_formation`` copy the tables, then run one
+    private insert step on the copy.  ``corpus.load`` builds its snapshot
+    in one :class:`Draft` (see ``draft``), whose transitions insert in
+    place, and returns it frozen as a plain ``LexiconState``.
+
     Beside the lexicon, a snapshot keeps ``_resolved``: the resolution
     (``engine.ShiftResult``) of each item resolved so far.  ``corpus.load``
     resolves every noun item when it builds a snapshot, and ``add_item`` and
@@ -237,6 +246,37 @@ class LexiconState:
     # -- transitions -------------------------------------------------------
 
     def add_item(self, item: Item) -> "LexiconState":
+        return self._copy()._insert_item(item)
+
+    def apply_formation(self, spec: EdgeSpec) -> "LexiconState":
+        """Apply one formation edge and return the successor state.
+
+        Conversion/derivation/borrowing grow the live count by exactly one;
+        widening swaps the derived item in for its base.  The input state is
+        never modified.
+        """
+        return self._copy()._insert_edge(spec)
+
+    def draft(self) -> "Draft":
+        """A private copy whose transitions insert in place; see :class:`Draft`."""
+        return Draft(**{**vars(self._copy()), "superseded": set(self.superseded),
+                        "warnings": list(self.warnings)})
+
+    def _copy(self) -> "LexiconState":
+        # the successor's own tables; resolutions carry over (class docstring)
+        return replace(self, items=dict(self.items), edges=dict(self.edges),
+                       strata=dict(self.strata), _resolved=dict(self._resolved))
+
+    def _supersede(self, base_id: str, warning: Optional[str]) -> None:
+        # only ever called on a fresh copy, before anyone else can see it
+        object.__setattr__(self, "superseded", self.superseded | {base_id})
+        if warning is not None:
+            object.__setattr__(self, "warnings", self.warnings + (warning,))
+
+    # The insert steps run every check before their first write, so a
+    # failing transition leaves the state it was called on as it was.
+
+    def _insert_item(self, item: Item) -> "LexiconState":
         if item.id in self.items:
             raise LexiconError(f"duplicate item id {item.id!r}")
         if item.language not in self.profiles:
@@ -255,19 +295,11 @@ class LexiconState:
                 problems = item.template.violations()
                 if problems:
                     raise LexiconError(f"item {item.id}: " + "; ".join(problems))
-        items = dict(self.items)
-        items[item.id] = item
-        strata = dict(self.strata)
-        strata[item.id] = 0
-        return replace(self, items=items, strata=strata, _resolved=dict(self._resolved))
+        self.items[item.id] = item
+        self.strata[item.id] = 0
+        return self
 
-    def apply_formation(self, spec: EdgeSpec) -> "LexiconState":
-        """Apply one formation edge and return the successor state.
-
-        Conversion/derivation/borrowing grow the live count by exactly one;
-        widening swaps the derived item in for its base.  The input state is
-        never modified.
-        """
+    def _insert_edge(self, spec: EdgeSpec) -> "LexiconState":
         if spec.derived_id in self.items:
             raise LexiconError(f"duplicate item id {spec.derived_id!r}")
         base: Optional[Item] = None
@@ -306,8 +338,7 @@ class LexiconState:
             if spec.process is Formation.WIDENING and base is not None:
                 meanings = base.meanings | meanings
 
-        warnings = self.warnings
-        superseded = self.superseded
+        warning = None
         if spec.process is Formation.WIDENING:
             assert base is not None
             if not (meanings <= base.meanings or base.meanings <= meanings):
@@ -316,10 +347,7 @@ class LexiconState:
                     f"(base {sorted(base.meanings)} vs derived {sorted(meanings)})"
                 )
             if not meanings <= base.meanings:
-                warnings = warnings + (
-                    f"widen {spec.derived_id}: derived meanings strictly contain the base's",
-                )
-            superseded = superseded | {base.id}
+                warning = f"widen {spec.derived_id}: derived meanings strictly contain the base's"
 
         derived = Item(
             id=spec.derived_id,
@@ -335,21 +363,13 @@ class LexiconState:
             fem_prefix=spec.fem_prefix,
             fem_suffix=spec.fem_suffix,
         )
-        items = dict(self.items)
-        items[derived.id] = derived
-        edges = dict(self.edges)
-        edges[derived.id] = spec
-        strata = dict(self.strata)
-        strata[derived.id] = strata[base.id] + 1 if base else 0
-        return replace(
-            self,
-            items=items,
-            edges=edges,
-            superseded=superseded,
-            strata=strata,
-            warnings=warnings,
-            _resolved=dict(self._resolved),
-        )
+        stratum = self.strata[base.id] + 1 if base else 0
+        self.items[derived.id] = derived
+        self.edges[derived.id] = spec
+        self.strata[derived.id] = stratum
+        if spec.process is Formation.WIDENING:
+            self._supersede(base.id, warning)
+        return self
 
     # Replaying is used by determinism checks and by the randomized ledger
     # property: same items, same edges, same resulting snapshot.
@@ -366,3 +386,29 @@ def new_state(
     rules: Optional[object] = None,
 ) -> LexiconState:
     return LexiconState(profiles=dict(profiles), initials=initials, rules=rules)
+
+
+class Draft(LexiconState):
+    """A snapshot under construction, private to ``corpus.load``.
+
+    ``LexiconState.draft`` makes one by copying the tables once; its
+    ``add_item`` and ``apply_formation`` insert into the draft itself and
+    return it, so building a lexicon of n items copies nothing per
+    statement.  A failing transition still leaves the draft as it was,
+    because the insert steps check everything before they write.
+    ``freeze`` hands back a plain, immutable :class:`LexiconState`; the
+    draft is not used after that.
+    """
+
+    def _copy(self) -> "Draft":
+        return self
+
+    def _supersede(self, base_id: str, warning: Optional[str]) -> None:
+        self.superseded.add(base_id)  # a set and a list while drafting; see LexiconState.draft
+        if warning is not None:
+            self.warnings.append(warning)
+
+    def freeze(self) -> LexiconState:
+        return LexiconState(**{**vars(self), "superseded": frozenset(self.superseded),
+                               "warnings": tuple(self.warnings)})
+

@@ -15,7 +15,7 @@ from tbmc.corpus import (
     serialize,
     validate,
 )
-from tbmc.lexicon import Formation
+from tbmc.lexicon import EdgeSpec, Formation, Item, LexiconState
 from tbmc.templates import FRENCH, RIFFIAN
 
 HEADER = 'profile riffian category=N slots=[SG|PL, M|F, COL|SING]\n'
@@ -190,6 +190,19 @@ def test_validation_resolves_every_item():
     doc = parse(HEADER + 'item id=a lang=riffian radical="x" cogset=C\n')
     report = validate(doc)
     assert report.errors and "no declared template" in report.errors[0]
+    assert report.render().split("\n")[0] == \
+        "error: item a: no declared template and no derivation edge"  # one prefix, not two
+
+
+def test_a_long_chain_under_an_unresolvable_head_reports_every_item():
+    depth = 4000
+    text = HEADER + 'item id=h lang=riffian radical="ka" cogset=C\n' + "".join(
+        f"derive id=c{k} base={'h' if k == 0 else f'c{k - 1}'} via=CONV target=C\n"
+        for k in range(depth))
+    failure = "item h: no declared template and no derivation edge"
+    expected = [f"error: {failure}"] + [f"error: item c{k}: {failure}" for k in range(depth)]
+    lines = validate(parse(text)).render().split("\n")
+    assert [line for line in lines if line.startswith("error:")] == expected
 
 
 def test_serialize_parse_round_trip_on_fixtures():
@@ -240,3 +253,60 @@ def test_statement_kinds_round_trip_individually():
     kinds = [type(s) for s in doc.statements]
     assert kinds == [ProfileStmt, InitialStmt, ItemStmt, DeriveStmt, DeriveStmt]
     assert parse(serialize(doc)).structurally_equal(doc)
+
+
+# -- loading in place ------------------------------------------------------------
+
+_FAILING_ITEM = 'item id=bad lang=riffian radical="y" cogset=C template={N, +SG, +PL, +M, -F, -COL, +SING}'
+_FAILING_DERIVES = ("derive id=late base=a via=CONV target=U", "derive id=t base=v via=CONV")
+_LOAD_LINES = (
+    'item id=a lang=riffian radical="x" cogset=C template={N, +SG, -PL, +M, -F, -COL, +SING} gloss="first"',
+    'derive id=w base=a via=WIDEN target=U gloss="more"',
+    _FAILING_ITEM,
+    _FAILING_DERIVES[0],
+    'item id=v lang=riffian radical="ndeh" gloss="to drive"',
+    _FAILING_DERIVES[1],
+    "derive id=c base=w via=CONV target=C",
+    "derive id=n base=v via=MDERIV target=NA",
+    "initial klingon.C = {N, +SG}",
+)
+
+
+def _load_lines(lines):
+    doc = parse(HEADER + "\n".join(lines) + "\n")
+    assert doc.ok, doc.issues
+    return load(doc)
+
+
+def test_load_returns_a_plain_snapshot():
+    for name in BUNDLED:
+        assert type(load_path(fixture_path(name)).state) is LexiconState
+    assert type(_load_lines(_LOAD_LINES).state) is LexiconState
+
+
+def test_failing_statements_leave_nothing_behind():
+    loaded = _load_lines(_LOAD_LINES)
+    clean = _load_lines([line for line in _LOAD_LINES
+                         if line != _FAILING_ITEM and line not in _FAILING_DERIVES])
+    assert loaded.state == clean.state
+    assert set(loaded.state.items) == {"a", "w", "v", "c", "n"}
+    # initials first, then one error per failing statement in file order
+    assert loaded.errors == [
+        "line 10: initial for unknown language 'klingon'",
+        "line 4: item bad: slot SG|PL: needs opposite polarities, one each",
+        "line 5: edge late: base 'a' is superseded",
+        "line 7: edge t: no target cognitive set",
+    ]
+    assert clean.errors == ["line 7: initial for unknown language 'klingon'"]
+
+
+def test_a_what_if_leaves_the_loaded_snapshot_unchanged():
+    state = _load_lines(_LOAD_LINES).state
+    before = (dict(state.items), dict(state.edges), dict(state.strata),
+              state.superseded, state.warnings)
+    widened = state.apply_formation(EdgeSpec(derived_id="whatif", process=Formation.WIDENING,
+                                             base_id="c", gloss="wider"))
+    added = widened.add_item(Item(id="extra", language="riffian", radical="z", category="V"))
+    assert "whatif" in added.items and "c" in added.superseded and len(added.warnings) == 2
+    assert (state.items, state.edges, state.strata, state.superseded, state.warnings) == before
+    assert "extra" not in widened.items
