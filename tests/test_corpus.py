@@ -255,6 +255,92 @@ def test_statement_kinds_round_trip_individually():
     assert parse(serialize(doc)).structurally_equal(doc)
 
 
+# -- exact parse issues -----------------------------------------------------------
+
+_BASE_A = 'item id=a lang=riffian radical="r" cogset=C template={N, +SG, -PL, -M, +F, -COL, +SING}\n'
+_T = "template={N, +SG, -PL, -M, +F, -COL, +SING}"
+
+# one faulty item or derive line after HEADER and _BASE_A, and the exact
+# (line, column, message) issues it must give
+_SINGLE_FAULTS = {
+    "item-bad-bool": (
+        f'item id=x lang=riffian radical="r" cogset=C {_T} animate=yes',
+        [(3, 89, "animate must be true or false, got 'yes'")]),
+    "item-bad-corpus-flag": (
+        f'item id=x lang=riffian radical="r" cogset=C {_T} typical=1',
+        [(3, 89, "typical must be true or false, got '1'")]),
+    "item-bad-switch": (
+        f'item id=x lang=riffian radical="r" cogset=C {_T} fem_prefix=off',
+        [(3, 89, "fem_prefix accepts only 'none', got 'off'")]),
+    "item-bad-template": (
+        'item id=x lang=riffian radical="r" cogset=C template={N, +SG, +SG}',
+        [(3, 45, "duplicate atoms in '{N, +SG, +SG}'")]),
+    "item-unbraced-template": (
+        'item id=x lang=riffian radical="r" cogset=C template=N',
+        [(3, 45, "template text must be brace-delimited: 'N'")]),
+    "item-unknown-key": (
+        f'item id=x lang=riffian radical="r" cogset=C {_T} colour=red',
+        [(3, 89, "unknown key 'colour'")]),
+    "item-duplicate-key": (
+        f'item id=x lang=riffian radical="r" cogset=C {_T} gloss="a" gloss="b"',
+        [(3, 99, "duplicate key 'gloss'")]),
+    "item-missing-keys": (
+        "item id=x cogset=C",
+        [(3, 5, "item is missing lang, radical")]),
+    "item-indented-bad-bool": (
+        f'   item id=x lang=riffian radical="r" cogset=C {_T} common=no',
+        [(3, 92, "common must be true or false, got 'no'")]),
+    "item-duplicate-id": (
+        f'item id=a lang=riffian radical="r" cogset=C {_T}',
+        [(3, 1, "id 'a' already declared at line 2")]),
+    "derive-missing-via": (
+        "derive id=x base=a target=U",
+        [(3, 7, "derive is missing via")]),
+    "derive-bad-via": (
+        "derive id=x base=a via=SPLIT target=U",
+        [(3, 20, "unknown formation process 'SPLIT'")]),
+    "derive-bad-bool": (
+        "derive id=x base=a via=CONV target=U animate=no",
+        [(3, 38, "animate must be true or false, got 'no'")]),
+    "derive-bad-switch": (
+        "derive id=x base=a via=CONV target=U fem_suffix=true",
+        [(3, 38, "fem_suffix accepts only 'none', got 'true'")]),
+    "derive-bad-expect-template": (
+        "derive id=x base=a via=CONV target=U expect_template={N, +SG, +SG}",
+        [(3, 38, "duplicate atoms in '{N, +SG, +SG}'")]),
+    "derive-duplicate-key": (
+        "derive id=x base=a via=CONV via=WIDEN",
+        [(3, 29, "duplicate key 'via'")]),
+    "derive-bad-donor": (
+        'derive id=x via=BORROW lang=riffian radical="l" target=C donor_gender=N',
+        [(3, 58, "donor_gender must be M or F, got 'N'")]),
+    "derive-donor-off-borrow": (
+        "derive id=x base=a via=CONV target=U donor_gender=F",
+        [(3, 38, "donor_gender is only meaningful on BORROW")]),
+    "derive-missing-base": (
+        "derive id=x via=MDERIV target=C",
+        [(3, 7, "MDERIV derives need base=; only BORROW may omit it")]),
+    "derive-undeclared-base": (
+        "derive id=x base=ghost via=CONV target=U",
+        [(3, 13, "base 'ghost' is never declared")]),
+    "derive-forward-reference": (
+        f'derive id=x base=late via=CONV target=U\nitem id=late lang=riffian radical="l" cogset=C {_T}',
+        [(3, 13, "forward reference: base 'late' is declared at line 4, after this derive at line 3")]),
+    "derive-duplicate-id": (
+        "derive id=a base=a via=WIDEN",
+        [(3, 1, "id 'a' already declared at line 2")]),
+    "bad-flag-on-a-base-a-later-line-uses": (
+        f'item id=b lang=riffian radical="r" cogset=C {_T} common=maybe\nderive id=c base=b via=CONV target=U',
+        [(3, 89, "common must be true or false, got 'maybe'")]),
+}
+
+
+@pytest.mark.parametrize("text, expected", _SINGLE_FAULTS.values(), ids=_SINGLE_FAULTS.keys())
+def test_a_single_fault_gives_its_exact_issues(text, expected):
+    doc = parse(HEADER + _BASE_A + text + "\n")
+    assert [(i.line, i.column, i.message) for i in doc.issues] == expected
+
+
 # -- loading in place ------------------------------------------------------------
 
 _FAILING_ITEM = 'item id=bad lang=riffian radical="y" cogset=C template={N, +SG, +PL, +M, -F, -COL, +SING}'
