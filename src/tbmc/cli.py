@@ -36,8 +36,8 @@ def _fail(message: str) -> int:
     return INPUT_ERROR
 
 
-def _load_corpus(path: str):
-    """Parse and load, or None after printing issues to stderr."""
+def _read_corpus(path: str) -> Optional[corpus_mod.CorpusDocument]:
+    """Read and parse, or None after printing the problem to stderr."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -48,6 +48,14 @@ def _load_corpus(path: str):
     if not document.ok:
         for issue in document.issues:
             print(issue.render(), file=sys.stderr)
+        return None
+    return document
+
+
+def _load_corpus(path: str) -> Optional[corpus_mod.LoadResult]:
+    """Read, parse and load, or None after printing the problems to stderr."""
+    document = _read_corpus(path)
+    if document is None:
         return None
     loaded = corpus_mod.load(document)
     if loaded.errors:
@@ -64,14 +72,8 @@ def _record(pairs) -> str:
 # -- validate -------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.corpus, encoding="utf-8") as handle:
-            document = corpus_mod.parse(handle.read())
-    except (OSError, UnicodeError) as exc:
-        return _fail(f"cannot read corpus: {exc}")
-    if not document.ok:
-        for issue in document.issues:
-            print(issue.render(), file=sys.stderr)
+    document = _read_corpus(args.corpus)
+    if document is None:
         return INPUT_ERROR
     report = corpus_mod.validate(document)
     for err in report.errors:

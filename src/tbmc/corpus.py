@@ -1,15 +1,24 @@
 """The ``.tbmc`` corpus format: parse, load, validate, serialize.
 
-One statement per line, ``#`` comments, blank lines ignored:
+One statement per line, ``#`` comments, blank lines ignored; whitespace
+separates the keyword and the fields:
 
     profile NAME category=ATOM slots=[A|B, C|D, E]
     initial LANG.COGSET = {TEMPLATE}
     item id=.. lang=.. radical=".." [cogset=..] [template={..}] [gloss=".."]
-         [animate=..] [surface=".."] [expect_surface=".."]
-         [recent_loan=..] [typical=..] [common=..] [fem_prefix=none] [fem_suffix=none]
+         [animate=..] [recent_loan=..] [typical=..] [common=..]
+         [fem_prefix=none] [fem_suffix=none] [surface=".."] [expect_surface=".."]
     derive id=.. base=.. via=CONV|MDERIV|WIDEN|BORROW [target=COGSET|V]
-         [lang=..] [radical=".."] [animate=..] [donor_gender=M|F] [gradcond=ID]
-         [gloss=".."] [surface=".."] [expect_template={..}] [expect_surface=".."]
+         [lang=..] [radical=".."] [gloss=".."] [animate=..] [donor_gender=M|F]
+         [gradcond=ID] [fem_prefix=none] [fem_suffix=none] [surface=".."]
+         [expect_template={..}] [expect_surface=".."]
+
+The keys of ``item`` and ``derive`` lines are defined once, in the key
+tables ``_ITEM_KEYS`` and ``_DERIVE_KEYS``: the sketch above summarizes
+them.  Parse and serialize read those tables, and a statement carries the
+lexicon's own :class:`~tbmc.lexicon.Item` or :class:`~tbmc.lexicon.EdgeSpec`
+and its line number; load binds an item's template body to its profile and
+otherwise takes them as they are.
 
 Slot syntax ``A|B`` declares a linked opposition, a bare name a free signed
 feature.  An item with neither cogset nor template is a verb.  ``base`` may
@@ -34,7 +43,7 @@ import functools
 import re
 import unicodedata
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Container, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import engine, realizer
 from .algebra import FeatureSet
@@ -98,41 +107,20 @@ class InitialStmt:
 
 @dataclass(frozen=True)
 class ItemStmt:
+    """An ``item`` line: its item, and its template body bare until ``load``
+    binds it to the item's profile."""
+
     line: int
-    id: str
-    language: str
-    radical: str
-    cogset: Optional[str] = None
-    template: Optional[FeatureSet] = None
-    gloss: Optional[str] = None
-    animate: bool = False
-    recent_loan: bool = False
-    typical: bool = False
-    common: bool = False
-    surface: Optional[str] = None
-    expect_surface: Optional[str] = None
-    fem_prefix: bool = True
-    fem_suffix: bool = True
+    item: Item
+    template: Optional[FeatureSet]
 
 
 @dataclass(frozen=True)
 class DeriveStmt:
+    """A ``derive`` line: the formation edge that ``load`` applies."""
+
     line: int
-    id: str
-    via: Formation
-    base: Optional[str] = None
-    target: Optional[str] = None
-    language: Optional[str] = None
-    radical: Optional[str] = None
-    gloss: Optional[str] = None
-    animate: bool = False
-    donor_gender: Optional[str] = None
-    gradcond: Optional[str] = None
-    surface: Optional[str] = None
-    expect_template: Optional[FeatureSet] = None
-    expect_surface: Optional[str] = None
-    fem_prefix: bool = True
-    fem_suffix: bool = True
+    edge: EdgeSpec
 
 
 Statement = Union[ProfileStmt, InitialStmt, ItemStmt, DeriveStmt]
@@ -146,12 +134,6 @@ class CorpusDocument:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-    def structurally_equal(self, other: "CorpusDocument") -> bool:
-        """Equality up to line numbers; the serialize round-trip law."""
-        mine = [replace(s, line=0) for s in self.statements]
-        theirs = [replace(s, line=0) for s in other.statements]
-        return mine == theirs
 
 
 # -- tokenizing ----------------------------------------------------------------
@@ -224,7 +206,7 @@ def _scan_fields(text: str, line: int, offset: int, issues: List[ParseIssue]) ->
 
 def _fields_to_dict(
     fields: List[Tuple[str, str, int]],
-    allowed: Tuple[str, ...],
+    allowed: Container[str],
     line: int,
     issues: List[ParseIssue],
 ) -> Dict[str, Tuple[str, int]]:
@@ -240,49 +222,203 @@ def _fields_to_dict(
     return out
 
 
-def _bool(raw: str, key: str, line: int, col: int, issues: List[ParseIssue]) -> bool:
+# -- the key tables --------------------------------------------------------------
+#
+# One row per key of an ``item`` or ``derive`` line: the key, the ``Item`` or
+# ``EdgeSpec`` attribute it fills, how its value is read and written, the
+# value of an absent key, and whether the key is required.  Parse and
+# serialize read these tables, load takes the objects they fill, and nothing
+# else lists the keys; a table's order is the order in which ``serialize``
+# writes its keys.
+
+class _BadFlag(ValueError):
+    """A bad true/false or none value: reported, and the key keeps its default."""
+
+
+def _read_plain(raw: str, key: str) -> str:
+    return raw
+
+
+def _read_text(raw: str, key: str) -> str:
+    return unicodedata.normalize("NFC", raw)
+
+
+def _read_phonetic(raw: str, key: str) -> str:
+    return normalize_phonetic(raw)
+
+
+def _read_bool(raw: str, key: str) -> bool:
     if raw == "true":
         return True
     if raw == "false":
         return False
-    issues.append(ParseIssue(line, col, f"{key} must be true or false, got {raw!r}"))
-    return False
+    raise _BadFlag(f"{key} must be true or false, got {raw!r}")
 
 
-def _switch(raw: str, key: str, line: int, col: int, issues: List[ParseIssue]) -> bool:
+def _read_switch(raw: str, key: str) -> bool:
     # exponent-suppression switches: only the literal "none" turns one off
     if raw == "none":
         return False
-    issues.append(ParseIssue(line, col, f"{key} accepts only 'none', got {raw!r}"))
-    return True
+    raise _BadFlag(f"{key} accepts only 'none', got {raw!r}")
 
 
-def _template_value(
-    raw: str, line: int, col: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
-) -> Optional[FeatureSet]:
-    """A template body; ``templates`` holds the bodies one ``parse`` call has read."""
-    body = templates.get(raw)
-    if body is not None:
-        return body
-    try:
-        body = templates[raw] = parse_template_text(raw)
-    except ValueError as exc:
-        # failures are not memoized: each one reports its own column
-        issues.append(ParseIssue(line, col, str(exc)))
-        return None
-    return body
+# a corpus repeats a few template texts many times; failures are not cached,
+# so each one reports its own column
+_template_body = functools.lru_cache(maxsize=1024)(parse_template_text)
 
 
-_ITEM_KEYS = (
-    "id", "lang", "radical", "cogset", "template", "gloss", "animate",
-    "surface", "expect_surface", "recent_loan", "typical", "common",
-    "fem_prefix", "fem_suffix",
+def _read_template(raw: str, key: str) -> FeatureSet:
+    return _template_body(raw)
+
+
+def _read_via(raw: str, key: str) -> Formation:
+    return formation_from_token(raw)
+
+
+def _read_donor(raw: str, key: str) -> str:
+    if raw not in ("M", "F"):
+        raise ValueError(f"donor_gender must be M or F, got {raw!r}")
+    return raw
+
+
+def _write_plain(value: str, profile: Optional[LanguageProfile]) -> str:
+    return value
+
+
+def _write_quoted(value: str, profile: Optional[LanguageProfile]) -> str:
+    return f'"{value}"'
+
+
+def _write_true(value: bool, profile: Optional[LanguageProfile]) -> str:
+    return "true"
+
+
+def _write_none(value: bool, profile: Optional[LanguageProfile]) -> str:
+    return "none"
+
+
+def _write_via(value: Formation, profile: Optional[LanguageProfile]) -> str:
+    return value.value
+
+
+def _render_body(body: FeatureSet, profile: Optional[LanguageProfile]) -> str:
+    if profile is not None:
+        try:
+            return Template(profile, body).render()
+        except ValueError:
+            pass
+    return "{" + ", ".join(sorted(body)) + "}"
+
+
+class _Key(NamedTuple):
+    name: str
+    attr: str
+    read: Callable[[str, str], object]  # raises ValueError on a bad value
+    write: Callable[[object, Optional[LanguageProfile]], str]
+    default: object = None  # an absent key's value, never written
+    required: bool = False
+
+
+# value kinds: (read, write, default)
+_PLAIN = (_read_plain, _write_plain, None)
+_TEXT = (_read_text, _write_quoted, None)
+_PHONETIC = (_read_phonetic, _write_quoted, None)
+_BOOL = (_read_bool, _write_true, False)
+_SWITCH = (_read_switch, _write_none, True)
+_TEMPLATE = (_read_template, _render_body, None)
+
+
+class _Table:
+    """The keys of one statement kind, in the order ``serialize`` writes them."""
+
+    def __init__(self, kind: str, *keys: _Key):
+        self.kind = kind
+        self.keys = {key.name: key for key in keys}
+        self.required = [key.name for key in keys if key.required]
+        self._rows = tuple(tuple(key) for key in keys)  # plain tuples unpack faster
+
+    def read(
+        self, scanned: Dict[str, Tuple[str, int]], line: int, offset: int, issues: List[ParseIssue],
+    ) -> Tuple[Dict[str, object], bool]:
+        """A line's values by attribute, and whether the line may be kept.
+
+        A missing required key is reported alone, and nothing is read.
+        Otherwise every bad value is reported, in table order: a bad flag
+        keeps its default, and any other bad value is left out and drops the
+        line.
+        """
+        missing = [name for name in self.required if name not in scanned]
+        if missing:
+            issues.append(ParseIssue(line, offset, f"{self.kind} is missing {', '.join(missing)}"))
+            return {}, False
+        values: Dict[str, object] = {}
+        kept = True
+        for name, attr, read, _, default, _ in self._rows:
+            if name not in scanned:
+                values[attr] = default
+                continue
+            raw, col = scanned[name]
+            try:
+                values[attr] = read(raw, name)
+            except _BadFlag as exc:
+                issues.append(ParseIssue(line, col, str(exc)))
+                values[attr] = default
+            except ValueError as exc:
+                issues.append(ParseIssue(line, col, str(exc)))
+                kept = False
+        return values, kept
+
+    def write(self, values: Dict[str, object], profile: Optional[LanguageProfile]) -> str:
+        """The ``key=value`` fields of every value that is not its key's default."""
+        parts = []
+        for name, attr, _, write, default, _ in self._rows:
+            value = values[attr]
+            if value != default:
+                parts.append(f"{name}={write(value, profile)}")
+        return " ".join(parts)
+
+
+_ITEM_KEYS = _Table(
+    "item",
+    _Key("id", "id", *_PLAIN, required=True),
+    _Key("lang", "language", *_PLAIN, required=True),
+    _Key("radical", "radical", *_PHONETIC, required=True),
+    _Key("cogset", "cogset", *_PLAIN),
+    _Key("template", "template", *_TEMPLATE),  # kept on the ItemStmt, bare
+    _Key("gloss", "gloss", *_TEXT),
+    _Key("animate", "animate", *_BOOL),
+    _Key("recent_loan", "recent_loan", *_BOOL),
+    _Key("typical", "typical", *_BOOL),
+    _Key("common", "common", *_BOOL),
+    _Key("fem_prefix", "fem_prefix", *_SWITCH),
+    _Key("fem_suffix", "fem_suffix", *_SWITCH),
+    _Key("surface", "surface_override", *_PHONETIC),
+    _Key("expect_surface", "expected_surface", *_PHONETIC),
 )
-_DERIVE_KEYS = (
-    "id", "base", "via", "target", "lang", "radical", "gloss", "animate",
-    "donor_gender", "gradcond", "surface", "expect_template", "expect_surface",
-    "fem_prefix", "fem_suffix",
+_DERIVE_KEYS = _Table(
+    "derive",
+    _Key("id", "derived_id", *_PLAIN, required=True),
+    _Key("base", "base_id", *_PLAIN),
+    _Key("via", "process", _read_via, _write_via, required=True),
+    _Key("target", "target", *_PLAIN),
+    _Key("lang", "language", *_PLAIN),
+    _Key("radical", "radical", *_PHONETIC),
+    _Key("gloss", "gloss", *_TEXT),
+    _Key("animate", "animate", *_BOOL),
+    _Key("donor_gender", "donor_gender", _read_donor, _write_plain),
+    _Key("gradcond", "gradcond", *_PLAIN),
+    _Key("fem_prefix", "fem_prefix", *_SWITCH),
+    _Key("fem_suffix", "fem_suffix", *_SWITCH),
+    _Key("surface", "surface_override", *_PHONETIC),
+    _Key("expect_template", "expect_template", *_TEMPLATE),
+    _Key("expect_surface", "expected_surface", *_PHONETIC),
 )
+
+
+def _split_head(text: str) -> Tuple[str, str]:
+    """``text`` split at its first whitespace character."""
+    match = _SPACE.search(text)
+    return (text, "") if match is None else (text[:match.start()], text[match.end():])
 
 
 def _prescan_ids(text: str) -> Dict[str, int]:
@@ -306,7 +442,6 @@ def parse(text: str) -> CorpusDocument:
     issues: List[ParseIssue] = []
     statements: List[Statement] = []
     declared: Dict[str, int] = {}  # item/derive id -> line
-    templates: Dict[str, FeatureSet] = {}  # template text -> body, for this call only
     all_ids = functools.cache(lambda: _prescan_ids(text))  # scanned once an undeclared base needs it
     profiles_seen: Dict[str, int] = {}
     initials_seen: Dict[Tuple[str, str], int] = {}
@@ -315,7 +450,7 @@ def parse(text: str) -> CorpusDocument:
         stripped = _strip_comment(raw).strip()
         if not stripped:
             continue
-        head, _, rest = stripped.partition(" ")
+        head, rest = _split_head(stripped)
         body_offset = raw.find(stripped) + len(head) + 1
 
         if head == "profile":
@@ -329,7 +464,7 @@ def parse(text: str) -> CorpusDocument:
                     profiles_seen[stmt.name] = line_no
                     statements.append(stmt)
         elif head == "initial":
-            stmt = _parse_initial(rest, line_no, body_offset, issues, templates)
+            stmt = _parse_initial(rest, line_no, body_offset, issues)
             if stmt is not None:
                 key = (stmt.language, stmt.cogset)
                 if key in initials_seen:
@@ -340,12 +475,12 @@ def parse(text: str) -> CorpusDocument:
                     initials_seen[key] = line_no
                     statements.append(stmt)
         elif head == "item":
-            stmt = _parse_item(rest, line_no, body_offset, issues, templates)
-            if stmt is not None and _check_id(stmt.id, line_no, declared, issues):
+            stmt = _parse_item(rest, line_no, body_offset, issues)
+            if stmt is not None and _check_id(stmt.item.id, line_no, declared, issues):
                 statements.append(stmt)
         elif head == "derive":
-            stmt = _parse_derive(rest, line_no, body_offset, issues, templates, declared, all_ids)
-            if stmt is not None and _check_id(stmt.id, line_no, declared, issues):
+            stmt = _parse_derive(rest, line_no, body_offset, issues, declared, all_ids)
+            if stmt is not None and _check_id(stmt.edge.derived_id, line_no, declared, issues):
                 statements.append(stmt)
         else:
             issues.append(ParseIssue(line_no, 1, f"unknown statement {head!r}"))
@@ -363,7 +498,7 @@ def _check_id(item_id: str, line: int, declared: Dict[str, int], issues: List[Pa
 
 
 def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[ProfileStmt]:
-    name, _, tail = rest.strip().partition(" ")
+    name, tail = _split_head(rest.strip())
     if not name or "=" in name:
         issues.append(ParseIssue(line, offset, "profile needs a name before its keys"))
         return None
@@ -395,9 +530,7 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
     return ProfileStmt(line=line, name=name, category=fields["category"][0], slots=tuple(slots))
 
 
-def _parse_initial(
-    rest: str, line: int, offset: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
-) -> Optional[InitialStmt]:
+def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[InitialStmt]:
     lhs, eq, rhs = rest.partition("=")
     if not eq:
         issues.append(ParseIssue(line, offset, "initial needs the form LANG.COGSET = {TEMPLATE}"))
@@ -407,84 +540,27 @@ def _parse_initial(
         issues.append(ParseIssue(line, offset, f"initial reference {ref!r} must be LANG.COGSET"))
         return None
     language, _, cogset = ref.partition(".")
-    body = _template_value(rhs.strip(), line, offset, issues, templates)
-    if body is None:
+    try:
+        body = _template_body(rhs.strip())
+    except ValueError as exc:
+        issues.append(ParseIssue(line, offset, str(exc)))
         return None
     return InitialStmt(line=line, language=language, cogset=cogset, body=body)
 
 
-class _Fields:
-    """Typed accessors over scanned key=value pairs for one statement."""
-
-    def __init__(self, fields: Dict[str, Tuple[str, int]], line: int, issues: List[ParseIssue],
-                 templates: Dict[str, FeatureSet]):
-        self.fields = fields
-        self.line = line
-        self.issues = issues
-        self.templates = templates
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.fields
-
-    def raw(self, key: str) -> Optional[str]:
-        return self.fields[key][0] if key in self.fields else None
-
-    def text(self, key: str) -> Optional[str]:
-        value = self.raw(key)
-        return unicodedata.normalize("NFC", value) if value is not None else None
-
-    def phonetic(self, key: str) -> Optional[str]:
-        value = self.raw(key)
-        return normalize_phonetic(value) if value is not None else None
-
-    def boolean(self, key: str) -> bool:
-        if key not in self.fields:
-            return False
-        value, col = self.fields[key]
-        return _bool(value, key, self.line, col, self.issues)
-
-    def switch(self, key: str) -> bool:
-        if key not in self.fields:
-            return True
-        value, col = self.fields[key]
-        return _switch(value, key, self.line, col, self.issues)
-
-    def template(self, key: str) -> Optional[FeatureSet]:
-        if key not in self.fields:
-            return None
-        value, col = self.fields[key]
-        return _template_value(value, self.line, col, self.issues, self.templates)
-
-
-def _parse_item(
-    rest: str, line: int, offset: int, issues: List[ParseIssue], templates: Dict[str, FeatureSet],
-) -> Optional[ItemStmt]:
-    scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _ITEM_KEYS, line, issues)
-    missing = [k for k in ("id", "lang", "radical") if k not in scanned]
-    if missing:
-        issues.append(ParseIssue(line, offset, f"item is missing {', '.join(missing)}"))
+def _parse_item(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[ItemStmt]:
+    scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _ITEM_KEYS.keys, line, issues)
+    values, kept = _ITEM_KEYS.read(scanned, line, offset, issues)
+    if not kept:
         return None
-    f = _Fields(scanned, line, issues, templates)
-    template = f.template("template")
-    if "template" in f and template is None:
-        return None
-    return ItemStmt(
-        line=line,
-        id=f.raw("id"),
-        language=f.raw("lang"),
-        radical=f.phonetic("radical"),
-        cogset=f.raw("cogset"),
-        template=template,
-        gloss=f.text("gloss"),
-        animate=f.boolean("animate"),
-        recent_loan=f.boolean("recent_loan"),
-        typical=f.boolean("typical"),
-        common=f.boolean("common"),
-        surface=f.phonetic("surface"),
-        expect_surface=f.phonetic("expect_surface"),
-        fem_prefix=f.switch("fem_prefix"),
-        fem_suffix=f.switch("fem_suffix"),
+    template = values.pop("template")
+    gloss = values["gloss"]
+    item = Item(
+        **values,
+        category=VERB if values["cogset"] is None and template is None else "N",
+        meanings=frozenset([gloss]) if gloss else frozenset(),
     )
+    return ItemStmt(line=line, item=item, template=template)
 
 
 def _parse_derive(
@@ -492,23 +568,16 @@ def _parse_derive(
     line: int,
     offset: int,
     issues: List[ParseIssue],
-    templates: Dict[str, FeatureSet],
     declared: Dict[str, int],
     all_ids: Callable[[], Dict[str, int]],
 ) -> Optional[DeriveStmt]:
-    scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _DERIVE_KEYS, line, issues)
-    missing = [k for k in ("id", "via") if k not in scanned]
-    if missing:
-        issues.append(ParseIssue(line, offset, f"derive is missing {', '.join(missing)}"))
+    scanned = _fields_to_dict(_scan_fields(rest, line, offset, issues), _DERIVE_KEYS.keys, line, issues)
+    values, kept = _DERIVE_KEYS.read(scanned, line, offset, issues)
+    via = values.get("process")
+    if via is None:
         return None
-    f = _Fields(scanned, line, issues, templates)
-    try:
-        via = formation_from_token(f.raw("via"))
-    except ValueError as exc:
-        issues.append(ParseIssue(line, scanned["via"][1], str(exc)))
-        return None
-
-    base = f.raw("base")
+    # the checks across keys run on what was read; the first that fails ends the line
+    base = values["base_id"]
     if base is None and via is not Formation.BORROWING:
         issues.append(ParseIssue(line, offset, f"{via.value} derives need base=; only BORROW may omit it"))
         return None
@@ -523,35 +592,10 @@ def _parse_derive(
             message = f"base {base!r} is never declared"
         issues.append(ParseIssue(line, scanned["base"][1], message))
         return None
-
-    expect_template = f.template("expect_template")
-    if "expect_template" in f and expect_template is None:
-        return None
-    donor = f.raw("donor_gender")
-    if donor is not None and donor not in ("M", "F"):
-        issues.append(ParseIssue(line, scanned["donor_gender"][1], f"donor_gender must be M or F, got {donor!r}"))
-        return None
-    if donor is not None and via is not Formation.BORROWING:
+    if values.get("donor_gender") is not None and via is not Formation.BORROWING:
         issues.append(ParseIssue(line, scanned["donor_gender"][1], "donor_gender is only meaningful on BORROW"))
         return None
-    return DeriveStmt(
-        line=line,
-        id=f.raw("id"),
-        via=via,
-        base=base,
-        target=f.raw("target"),
-        language=f.raw("lang"),
-        radical=f.phonetic("radical"),
-        gloss=f.text("gloss"),
-        animate=f.boolean("animate"),
-        donor_gender=donor,
-        gradcond=f.raw("gradcond"),
-        surface=f.phonetic("surface"),
-        expect_template=expect_template,
-        expect_surface=f.phonetic("expect_surface"),
-        fem_prefix=f.switch("fem_prefix"),
-        fem_suffix=f.switch("fem_suffix"),
-    )
+    return DeriveStmt(line=line, edge=EdgeSpec(**values)) if kept else None
 
 
 # -- loading -------------------------------------------------------------------
@@ -567,7 +611,7 @@ class LoadResult:
         return not self.errors and self.document.ok
 
 
-def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult:
+def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
     """Build a lexicon state from a parsed document.
 
     Built-in profiles and initial templates are seeded first; corpus
@@ -608,7 +652,7 @@ def load(document: CorpusDocument, rules: Optional[object] = None) -> LoadResult
             if isinstance(stmt, ItemStmt):
                 draft.add_item(_to_item(stmt, profiles))
             elif isinstance(stmt, DeriveStmt):
-                draft.apply_formation(_to_edge(stmt))
+                draft.apply_formation(stmt.edge)
         except ValueError as exc:
             errors.append(f"line {stmt.line}: {exc}")
     state = draft.freeze()
@@ -645,50 +689,13 @@ def _declared_profile(stmt: ProfileStmt) -> LanguageProfile:
 
 
 def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
-    template = None
-    if stmt.template is not None:
-        if stmt.language not in profiles:
-            raise TemplateError(f"no profile for language {stmt.language!r}")
-        template = Template(profiles[stmt.language], stmt.template)
-    category = VERB if stmt.cogset is None and template is None else "N"
-    return Item(
-        id=stmt.id,
-        language=stmt.language,
-        radical=stmt.radical,
-        category=category,
-        cogset=stmt.cogset,
-        meanings=frozenset([stmt.gloss]) if stmt.gloss else frozenset(),
-        gloss=stmt.gloss,
-        animate=stmt.animate,
-        recent_loan=stmt.recent_loan,
-        typical=stmt.typical,
-        common=stmt.common,
-        template=template,
-        surface_override=stmt.surface,
-        expected_surface=stmt.expect_surface,
-        fem_prefix=stmt.fem_prefix,
-        fem_suffix=stmt.fem_suffix,
-    )
-
-
-def _to_edge(stmt: DeriveStmt) -> EdgeSpec:
-    return EdgeSpec(
-        derived_id=stmt.id,
-        process=stmt.via,
-        base_id=stmt.base,
-        target=stmt.target,
-        language=stmt.language,
-        radical=stmt.radical,
-        gloss=stmt.gloss,
-        animate=stmt.animate,
-        donor_gender=stmt.donor_gender,
-        gradcond=stmt.gradcond,
-        surface_override=stmt.surface,
-        expected_surface=stmt.expect_surface,
-        fem_prefix=stmt.fem_prefix,
-        fem_suffix=stmt.fem_suffix,
-        expect_template=stmt.expect_template,
-    )
+    """The statement's item, its template body bound to the item's profile."""
+    if stmt.template is None:
+        return stmt.item
+    language = stmt.item.language
+    if language not in profiles:
+        raise TemplateError(f"no profile for language {language!r}")
+    return replace(stmt.item, template=Template(profiles[language], stmt.template))
 
 
 # -- validation ----------------------------------------------------------------
@@ -752,7 +759,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(document: CorpusDocument, rules: Optional[object] = None) -> ValidationReport:
+def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> ValidationReport:
     """Load a document, resolve every item, and check all expectations.
 
     Template expectations compare canonical renderings of the expected and
@@ -824,9 +831,9 @@ def serialize(document: CorpusDocument) -> str:
         if isinstance(stmt, ProfileStmt):
             profiles[stmt.name] = _declared_profile(stmt)
         elif isinstance(stmt, ItemStmt):
-            languages[stmt.id] = stmt.language
+            languages[stmt.item.id] = stmt.item.language
         elif isinstance(stmt, DeriveStmt):
-            languages[stmt.id] = stmt.language or languages.get(stmt.base)
+            languages[stmt.edge.derived_id] = stmt.edge.language or languages.get(stmt.edge.base_id)
 
     lines: List[str] = []
     for stmt in document.statements:
@@ -839,79 +846,15 @@ def serialize(document: CorpusDocument) -> str:
             body = _render_body(stmt.body, profiles.get(stmt.language))
             lines.append(f"initial {stmt.language}.{stmt.cogset} = {body}")
         elif isinstance(stmt, ItemStmt):
-            lines.append("item " + " ".join(_item_fields(stmt, profiles)))
+            values = {**vars(stmt.item), "template": stmt.template}
+            lines.append("item " + _ITEM_KEYS.write(values, profiles.get(stmt.item.language)))
         else:
-            profile = profiles.get(languages.get(stmt.id) or "")
-            lines.append("derive " + " ".join(_derive_fields(stmt, profile)))
+            profile = profiles.get(languages.get(stmt.edge.derived_id) or "")
+            lines.append("derive " + _DERIVE_KEYS.write(vars(stmt.edge), profile))
     return "\n".join(lines) + "\n"
 
 
-def _render_body(body: FeatureSet, profile: Optional[LanguageProfile]) -> str:
-    if profile is not None:
-        try:
-            return Template(profile, body).render()
-        except ValueError:
-            pass
-    return "{" + ", ".join(sorted(body)) + "}"
-
-
-def _item_fields(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> List[str]:
-    parts = [f"id={stmt.id}", f"lang={stmt.language}", f'radical="{stmt.radical}"']
-    if stmt.cogset is not None:
-        parts.append(f"cogset={stmt.cogset}")
-    if stmt.template is not None:
-        parts.append(f"template={_render_body(stmt.template, profiles.get(stmt.language))}")
-    if stmt.gloss is not None:
-        parts.append(f'gloss="{stmt.gloss}"')
-    if stmt.animate:
-        parts.append("animate=true")
-    for flag in ("recent_loan", "typical", "common"):
-        if getattr(stmt, flag):
-            parts.append(f"{flag}=true")
-    if not stmt.fem_prefix:
-        parts.append("fem_prefix=none")
-    if not stmt.fem_suffix:
-        parts.append("fem_suffix=none")
-    if stmt.surface is not None:
-        parts.append(f'surface="{stmt.surface}"')
-    if stmt.expect_surface is not None:
-        parts.append(f'expect_surface="{stmt.expect_surface}"')
-    return parts
-
-
-def _derive_fields(stmt: DeriveStmt, profile: Optional[LanguageProfile]) -> List[str]:
-    parts = [f"id={stmt.id}"]
-    if stmt.base is not None:
-        parts.append(f"base={stmt.base}")
-    parts.append(f"via={stmt.via.value}")
-    if stmt.target is not None:
-        parts.append(f"target={stmt.target}")
-    if stmt.language is not None:
-        parts.append(f"lang={stmt.language}")
-    if stmt.radical is not None:
-        parts.append(f'radical="{stmt.radical}"')
-    if stmt.gloss is not None:
-        parts.append(f'gloss="{stmt.gloss}"')
-    if stmt.animate:
-        parts.append("animate=true")
-    if stmt.donor_gender is not None:
-        parts.append(f"donor_gender={stmt.donor_gender}")
-    if stmt.gradcond is not None:
-        parts.append(f"gradcond={stmt.gradcond}")
-    if not stmt.fem_prefix:
-        parts.append("fem_prefix=none")
-    if not stmt.fem_suffix:
-        parts.append("fem_suffix=none")
-    if stmt.surface is not None:
-        parts.append(f'surface="{stmt.surface}"')
-    if stmt.expect_template is not None:
-        parts.append(f"expect_template={_render_body(stmt.expect_template, profile)}")
-    if stmt.expect_surface is not None:
-        parts.append(f'expect_surface="{stmt.expect_surface}"')
-    return parts
-
-
-def load_path(path, rules: Optional[object] = None) -> LoadResult:
+def load_path(path, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
     """Parse and load a corpus file; parse issues raise CorpusParseError."""
     with open(path, encoding="utf-8") as handle:
         document = parse(handle.read())

@@ -278,13 +278,16 @@ def apply_gradient(
 ) -> ShiftResult:
     """Resolve one shift record to the derived template (the gradient map).
 
-    Raises for the EMPTY record (input heads carry their own template), when
-    no rule triggers, and when a rule would manufacture an ill-formed
-    template.
+    Raises for the EMPTY record (input heads carry their own template), for
+    a verb target, when no rule triggers, and when a rule would manufacture
+    an ill-formed template.
     """
     if record.is_empty:
         raise InputHeadError("input head has no computed template")
     rule = rules.select(record)
+    # a verb target has no template, and an initial template needs a target set
+    if record.target == VERB or (record.target is None and isinstance(rule.mode, InitialAssign)):
+        raise ShiftError(f"rule {rule.id} cannot assign a template to target {record.target!r}")
     if isinstance(rule.mode, DeltaOperand):
         if record.base_template is None:
             raise ShiftError(
@@ -299,8 +302,6 @@ def apply_gradient(
         body = algebra.symmetric_difference(record.base_template.body, operand)
         used: Optional[FeatureSet] = operand
     else:
-        if record.target is None or record.target == VERB:
-            raise ShiftError(f"rule {rule.id} cannot assign a template to target {record.target!r}")
         initial = initials.get(profile.language, record.target)
         body = initial.body
         if rule.mode.use_donor_gender:

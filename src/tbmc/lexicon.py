@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import FeatureSet
 from .templates import InitialTemplates, LanguageProfile, Template
+
+if TYPE_CHECKING:  # engine imports this module
+    from .engine import RuleRegistry
 
 VERB = "V"
 
@@ -47,10 +50,6 @@ class Formation(enum.Enum):
     BORROWING = "BORROW"
     DERIVATION = "MDERIV"
     WIDENING = "WIDEN"
-
-    @property
-    def symbol(self) -> str:
-        return {"CONV": "→", "BORROW": "↑", "MDERIV": "↔", "WIDEN": "⊇"}[self.value]
 
     @property
     def adds_live_item(self) -> bool:
@@ -193,7 +192,7 @@ class LexiconState:
     superseded: FrozenSet[str] = frozenset()
     strata: Dict[str, int] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
-    rules: Optional[object] = None  # engine.RuleRegistry; engine default when None
+    rules: Optional[RuleRegistry] = None  # engine default when None
     # item id -> engine.ShiftResult, filled by engine.transfer; see the class docstring
     _resolved: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
@@ -383,7 +382,7 @@ class LexiconState:
 def new_state(
     profiles: Mapping[str, LanguageProfile],
     initials: InitialTemplates,
-    rules: Optional[object] = None,
+    rules: Optional[RuleRegistry] = None,
 ) -> LexiconState:
     return LexiconState(profiles=dict(profiles), initials=initials, rules=rules)
 

@@ -303,9 +303,6 @@ class InitialTemplates:
     def __iter__(self) -> Iterator[Tuple[str, str]]:
         return iter(self.entries)
 
-    def copy(self) -> "InitialTemplates":
-        return InitialTemplates(dict(self.entries))
-
 
 # -- built-in profiles and defaults ------------------------------------------
 #

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from tbmc import corpus
@@ -27,3 +29,12 @@ def table3():
 def fig2_document():
     with open(fixture_path("riffian_fig2"), encoding="utf-8") as handle:
         return corpus.parse(handle.read())
+
+
+@pytest.fixture(scope="session")
+def structurally_equal():
+    """Equality of two documents up to line numbers: the serialize round-trip law."""
+    def equal(mine, theirs):
+        return ([replace(s, line=0) for s in mine.statements]
+                == [replace(s, line=0) for s in theirs.statements])
+    return equal

@@ -274,7 +274,7 @@ CLI_MATRIX = [
 ]
 
 
-def test_criterion_9_determinism(capsys):
+def test_criterion_9_determinism(capsys, structurally_equal):
     for command, fixture, *flags in CLI_MATRIX:
         argv = [command] + ([str(fixture_path(fixture))] if fixture else []) + list(flags)
         first_code = main(argv)
@@ -289,7 +289,7 @@ def test_criterion_9_determinism(capsys):
         with open(fixture_path(name), encoding="utf-8") as handle:
             document = corpus.parse(handle.read())
         reparsed = corpus.parse(corpus.serialize(document))
-        assert document.structurally_equal(reparsed)
+        assert structurally_equal(document, reparsed)
     with capsys.disabled():
         print()
         report(9, "all commands byte-identical across runs; round trip structure-preserving")

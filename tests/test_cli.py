@@ -195,6 +195,20 @@ def test_derive_ad_hoc_from_a_verb_base(capsys):
     assert "(ðiɛist)" in out  # radical preserved, spell-out previewed
 
 
+def test_derive_ad_hoc_to_a_verb_exits_two_like_the_corpus_path(tmp_path, capsys):
+    code, out, err = run(capsys, "derive", FIG2,
+                         "--base", "sendu_1", "--via", "CONV", "--target", "V")
+    assert (code, out, err) == (2, "", "rule R1 cannot assign a template to target 'V'\n")
+    # the same edge as a corpus line makes a verb, which has no template either
+    corpus = tmp_path / "verb.tbmc"
+    with open(FIG2, encoding="utf-8") as handle:
+        corpus.write_text(handle.read() + "derive id=sendu_x base=sendu_1 via=CONV target=V\n",
+                          encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(corpus), "sendu_x")
+    assert (code, out) == (2, "")
+    assert "category V has no registered template inventory" in err
+
+
 def test_derive_unknown_item(capsys):
     code, _, err = run(capsys, "derive", FIG2, "ghost")
     assert code == 2

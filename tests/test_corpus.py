@@ -33,10 +33,10 @@ def test_single_derive_statement():
     assert doc.ok
     derive = doc.statements[-1]
     assert isinstance(derive, DeriveStmt)
-    assert derive.id == "gland_2" and derive.base == "gland_1"
-    assert derive.via is Formation.CONVERSION
-    assert derive.target == "C"
-    assert derive.expect_template == frozenset(
+    assert derive.edge.derived_id == "gland_2" and derive.edge.base_id == "gland_1"
+    assert derive.edge.process is Formation.CONVERSION
+    assert derive.edge.target == "C"
+    assert derive.edge.expect_template == frozenset(
         {"N", "+SG", "-PL", "-M", "+F", "+DEF", "-COL"})
 
 
@@ -55,7 +55,7 @@ def test_comments_and_blank_lines():
         "template={N, +SG, -PL, +M, -F, +COL, -SING}  # trailing comment\n")
     assert doc.ok
     item = doc.statements[-1]
-    assert item.radical == "fa#ð"  # hash inside quotes is data
+    assert item.item.radical == "fa#ð"  # hash inside quotes is data
 
 
 def test_forward_reference_names_both_lines():
@@ -115,6 +115,18 @@ def test_bad_process_and_bad_donor():
 def test_conversion_requires_base():
     doc = parse(HEADER + "derive id=a via=CONV target=U\n")
     assert any("only BORROW may omit it" in i.message for i in doc.issues)
+
+
+def test_a_tab_after_the_statement_keyword_parses():
+    spaced = (HEADER + 'item id=a lang=riffian radical="x" cogset=C '
+              "template={N, +SG, -PL, +M, -F, -COL, +SING} animate=no\n")
+    tabbed = spaced.replace("profile ", "profile\t").replace("item ", "item\t")
+    assert tabbed.count("\t") == 2
+    spaced_doc, tabbed_doc = parse(spaced), parse(tabbed)
+    assert [type(s) for s in tabbed_doc.statements] == [ProfileStmt, ItemStmt]
+    assert tabbed_doc == spaced_doc  # the same statements, and the same issue at the same column
+    assert [(i.line, i.column) for i in tabbed_doc.issues] == [(2, 89)]
+    assert tabbed_doc.statements[0].name == "riffian"
 
 
 def test_parse_never_raises_on_garbage():
@@ -205,7 +217,7 @@ def test_a_long_chain_under_an_unresolvable_head_reports_every_item():
     assert [line for line in lines if line.startswith("error:")] == expected
 
 
-def test_serialize_parse_round_trip_on_fixtures():
+def test_serialize_parse_round_trip_on_fixtures(structurally_equal):
     for name in BUNDLED:
         with open(fixture_path(name), encoding="utf-8") as handle:
             original = parse(handle.read())
@@ -213,7 +225,7 @@ def test_serialize_parse_round_trip_on_fixtures():
         emitted = serialize(original)
         reparsed = parse(emitted)
         assert reparsed.ok
-        assert original.structurally_equal(reparsed)
+        assert structurally_equal(original, reparsed)
         assert serialize(reparsed) == emitted  # serialization is a fixpoint
 
 
@@ -227,7 +239,7 @@ def test_serialize_is_byte_stable():
 def test_transliteration_normalizes_at_parse_time():
     doc = parse(HEADER + 'item id=a lang=riffian radical="ḍa-funast" cogset=C '
                          "template={N, +SG, -PL, -M, +F, -COL, +SING}\n")
-    assert doc.statements[-1].radical == "ða-funast"
+    assert doc.statements[-1].item.radical == "ða-funast"
 
 
 def test_load_path_raises_on_parse_errors(tmp_path):
@@ -237,7 +249,7 @@ def test_load_path_raises_on_parse_errors(tmp_path):
         load_path(bad)
 
 
-def test_statement_kinds_round_trip_individually():
+def test_statement_kinds_round_trip_individually(structurally_equal):
     text = (
         HEADER
         + "initial riffian.C = {N, +SG, -PL, -M, +F, -COL, +SING}\n"
@@ -252,7 +264,7 @@ def test_statement_kinds_round_trip_individually():
     assert doc.ok, doc.issues
     kinds = [type(s) for s in doc.statements]
     assert kinds == [ProfileStmt, InitialStmt, ItemStmt, DeriveStmt, DeriveStmt]
-    assert parse(serialize(doc)).structurally_equal(doc)
+    assert structurally_equal(parse(serialize(doc)), doc)
 
 
 # -- exact parse issues -----------------------------------------------------------

@@ -170,5 +170,5 @@ def test_a_failing_template_reports_its_own_column_each_time():
     assert [(i.line, i.column) for i in bad] == [(7, 47), (8, 50)]
     assert bad[0].message == bad[1].message == "duplicate atoms in '{N, +SG, +SG}'"
     assert [i.line for i in doc.issues] == [2, 3, 6, 7, 8]
-    late, good = (s for s in doc.statements if getattr(s, "id", None) in ("late", "good"))
+    late, good = (s for s in doc.statements if getattr(getattr(s, "item", None), "id", None) in ("late", "good"))
     assert good.template == late.template  # the second one read from the memo
