@@ -11,9 +11,12 @@ over identical corpora produce byte-identical output.  ``--format records``
 switches to one tab-separated ``key=value`` record per line with a stable
 field order, for golden-file comparison without a parser.
 
-Errors go to stderr, one line each, whatever the format.  ``validate``
-writes each ``error: ...`` line to stderr in both formats, and its text
-report also keeps those lines on stdout, so the report reads whole.
+Errors go to stderr, one line each, whatever the format.  An input error
+is a ``ValueError`` (every module's error class is one), raised wherever it
+is found; ``main`` is the one place that prints it and exits 2.  Bad flags
+are argparse's, which exits 2 itself.  ``validate`` writes each
+``error: ...`` line to stderr in both formats, and its text report also
+keeps those lines on stdout, so the report reads whole.
 """
 
 from __future__ import annotations
@@ -24,44 +27,31 @@ from typing import List, Optional
 
 from . import corpus as corpus_mod
 from . import engine, estimator, oracle, realizer
-from .engine import DEFAULT_RULES, ShiftResult
-from .lexicon import Formation, Item, LexiconState, ShiftRecord, VERB, formation_from_token
+from .engine import ShiftResult
+from .lexicon import EdgeSpec, Formation, Item, ShiftRecord
 from .templates import BUILTIN_PROFILES, Template, render_operand
 
 OK, MISMATCH_EXIT, INPUT_ERROR = 0, 1, 2
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return INPUT_ERROR
-
-
-def _read_corpus(path: str) -> Optional[corpus_mod.CorpusDocument]:
-    """Read and parse, or None after printing the problem to stderr."""
+def _read_corpus(path: str) -> corpus_mod.CorpusDocument:
+    """Read and parse; a problem raises ValueError, one line per issue."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeError) as exc:
-        print(f"cannot read corpus: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read corpus: {exc}") from exc
     document = corpus_mod.parse(text)
     if not document.ok:
-        for issue in document.issues:
-            print(issue.render(), file=sys.stderr)
-        return None
+        raise ValueError("\n".join(issue.render() for issue in document.issues))
     return document
 
 
-def _load_corpus(path: str) -> Optional[corpus_mod.LoadResult]:
-    """Read, parse and load, or None after printing the problems to stderr."""
-    document = _read_corpus(path)
-    if document is None:
-        return None
-    loaded = corpus_mod.load(document)
+def _load_corpus(path: str) -> corpus_mod.LoadResult:
+    """Read, parse and load; a problem raises ValueError, one line per issue."""
+    loaded = corpus_mod.load(_read_corpus(path))
     if loaded.errors:
-        for err in loaded.errors:
-            print(err, file=sys.stderr)
-        return None
+        raise ValueError("\n".join(loaded.errors))
     return loaded
 
 
@@ -72,10 +62,7 @@ def _record(pairs) -> str:
 # -- validate -------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    document = _read_corpus(args.corpus)
-    if document is None:
-        return INPUT_ERROR
-    report = corpus_mod.validate(document)
+    report = corpus_mod.validate(_read_corpus(args.corpus))
     for err in report.errors:
         print(f"error: {err}", file=sys.stderr)
     if args.format == "records":
@@ -118,72 +105,43 @@ def _render_shift(item_id: str, record: Optional[ShiftRecord], result: ShiftResu
         print(f"surface: {surface.hyphenated} ({surface.joined})")
 
 
-def _surface_for(state: LexiconState, item_id: str, result: ShiftResult):
-    item = state.items[item_id]
-    if item.category == VERB or item.language != realizer.DEFAULT_INVENTORY.language:
+def _surface_for(item: Item, result: ShiftResult):
+    # a resolved item is a noun: transfer and apply_gradient reject verbs
+    if item.language != realizer.DEFAULT_INVENTORY.language:
         return None
     return realizer.realize(item, result.template)
 
 
 def cmd_derive(args) -> int:
-    loaded = _load_corpus(args.corpus)
-    if loaded is None:
-        return INPUT_ERROR
-    state = loaded.state
+    state = _load_corpus(args.corpus).state
 
     if args.item is not None:
         if args.base or args.via:
-            return _fail("give either an item id or --base/--via, not both")
-        try:
-            result = engine.transfer(state, args.item)
-            record = engine.shift_record(state, args.item)
-            surface = _surface_for(state, args.item, result)
-        except ValueError as exc:
-            return _fail(str(exc))
+            raise ValueError("give either an item id or --base/--via, not both")
+        result = engine.transfer(state, args.item)
+        record = engine.shift_record(state, args.item)
+        surface = _surface_for(state.items[args.item], result)
         _render_shift(args.item, record if not record.is_empty else None, result, surface, args.format)
         return OK
 
     if not args.via or (not args.base and args.via != "BORROW"):
-        return _fail("ad-hoc derivation needs --base and --via (BORROW may omit --base)")
-    try:
-        process = formation_from_token(args.via)
-        base_item = state.item(args.base) if args.base else None
-        base_template = None
-        if base_item is not None and base_item.category != VERB:
-            base_template = engine.transfer(state, args.base).template
-        language = args.lang or (base_item.language if base_item else None)
-        if language is None:
-            return _fail("--via BORROW without --base needs --lang")
-        if language not in state.profiles:
-            return _fail(f"no profile for language {language!r}")
-        target = args.target or (base_item.cogset if base_item else None)
-        record = ShiftRecord(
-            process=process,
-            base_template=base_template,
-            target=target,
-            base_id=args.base,
-            base_cogset=base_item.cogset if base_item else None,
-            animate=args.animate == "true",
-            donor_gender=args.donor_gender,
-            gradcond=args.gradcond,
-            stratum=(state.stratum(args.base) + 1) if args.base else 0,
-        )
-        rules = state.rules if state.rules is not None else DEFAULT_RULES
-        result = engine.apply_gradient(record, state.profiles[language], state.initials, rules)
-    except ValueError as exc:
-        return _fail(str(exc))
-    surface = None
-    if (base_item is not None and language == realizer.DEFAULT_INVENTORY.language
-            and process in (Formation.CONVERSION, Formation.WIDENING)):
-        # these processes preserve the radical, so the spell-out is known;
-        # realize a fresh noun preview (the base may be a verb or carry its
-        # own override, neither of which applies to the derivative)
-        preview = Item(
-            id=f"{base_item.id}+", language=language, radical=base_item.radical,
-            cogset=record.target or "C",
-            fem_prefix=base_item.fem_prefix, fem_suffix=base_item.fem_suffix)
-        surface = realizer.realize(preview, result.template)
+        raise ValueError("ad-hoc derivation needs --base and --via (BORROW may omit --base)")
+    base = state.item(args.base) if args.base else None
     label = f"(ad hoc from {args.base})" if args.base else "(ad hoc borrowing)"
+    # the spell-out preview keeps the base's radical and feminine switches;
+    # a borrowing without a base is never spelled out, so its radical is moot
+    edge = EdgeSpec(
+        derived_id=label, process=Formation(args.via), base_id=args.base or None,
+        target=args.target or None, language=args.lang or None,
+        radical=base.radical if base else "",
+        animate=args.animate == "true", donor_gender=args.donor_gender, gradcond=args.gradcond,
+        fem_prefix=base.fem_prefix if base else True,
+        fem_suffix=base.fem_suffix if base else True)
+    item, record, result = engine.what_if(state, edge)
+    surface = None
+    if base is not None and edge.process in (Formation.CONVERSION, Formation.WIDENING):
+        # these processes preserve the radical, so the spell-out is known
+        surface = _surface_for(item, result)
     _render_shift(label, record, result, surface, args.format)
     return OK
 
@@ -193,14 +151,11 @@ def cmd_derive(args) -> int:
 def cmd_solve(args) -> int:
     from .templates import parse_template_text, validate as validate_body
 
-    try:
-        base_body = parse_template_text(args.base)
-        result_body = parse_template_text(args.result)
-    except ValueError as exc:
-        return _fail(str(exc))
+    base_body = parse_template_text(args.base)
+    result_body = parse_template_text(args.result)
     if args.profile:
         if args.profile not in BUILTIN_PROFILES:
-            return _fail(f"unknown profile {args.profile!r}; have {', '.join(sorted(BUILTIN_PROFILES))}")
+            raise ValueError(f"unknown profile {args.profile!r}; have {', '.join(sorted(BUILTIN_PROFILES))}")
         candidates = [BUILTIN_PROFILES[args.profile]]
     else:
         candidates = [
@@ -209,12 +164,9 @@ def cmd_solve(args) -> int:
             and not validate_body(result_body, BUILTIN_PROFILES[name])
         ]
     if not candidates:
-        return _fail("templates fit no built-in profile; pass --profile")
+        raise ValueError("templates fit no built-in profile; pass --profile")
     profile = candidates[0]
-    try:
-        operand = engine.solve_operand(Template(profile, base_body), Template(profile, result_body))
-    except ValueError as exc:
-        return _fail(str(exc))
+    operand = engine.solve_operand(Template(profile, base_body), Template(profile, result_body))
     print(render_operand(operand, profile))
     return OK
 
@@ -222,13 +174,7 @@ def cmd_solve(args) -> int:
 # -- trace ----------------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    loaded = _load_corpus(args.corpus)
-    if loaded is None:
-        return INPUT_ERROR
-    try:
-        tree = engine.trace(loaded.state, args.item)
-    except ValueError as exc:
-        return _fail(str(exc))
+    tree = engine.trace(_load_corpus(args.corpus).state, args.item)
     if args.format == "records":
         stack = [(tree, 0)]  # depth-first, first child first, as render_trace
         while stack:
@@ -253,7 +199,7 @@ def cmd_enumerate(args) -> int:
 
     profile = BUILTIN_PROFILES.get(args.profile)
     if profile is None:
-        return _fail(f"unknown profile {args.profile!r}; have {', '.join(sorted(BUILTIN_PROFILES))}")
+        raise ValueError(f"unknown profile {args.profile!r}; have {', '.join(sorted(BUILTIN_PROFILES))}")
     bodies = enumerate_candidates(profile, well_formed_only=args.well_formed)
     for body in bodies:
         if args.format == "records":
@@ -271,9 +217,7 @@ def cmd_enumerate(args) -> int:
 # -- estimate --------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    loaded = _load_corpus(args.corpus)
-    if loaded is None:
-        return INPUT_ERROR
+    state = _load_corpus(args.corpus).state
     filt = estimator.EstimationFilter(
         require_any=frozenset(args.require_any.split(",")) if args.require_any else
         estimator.DEFAULT_FILTER.require_any,
@@ -282,10 +226,7 @@ def cmd_estimate(args) -> int:
         unfiltered_sets=frozenset(args.unfiltered.split(",")) if args.unfiltered else
         estimator.DEFAULT_FILTER.unfiltered_sets,
     )
-    try:
-        report = estimator.estimate_initial_templates(loaded.state, filt)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = estimator.estimate_initial_templates(state, filt)
     if args.format == "records":
         for est in report.estimates:
             print(_record([
@@ -386,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # every input error of the library is one
+        print(exc, file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

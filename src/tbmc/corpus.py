@@ -426,8 +426,7 @@ def _prescan_ids(text: str) -> Dict[str, int]:
     ids: Dict[str, int] = {}
     throwaway: List[ParseIssue] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        head, _, rest = stripped.partition(" ")
+        head, rest = _split_head(_strip_comment(raw).strip())
         if head not in ("item", "derive"):
             continue
         for key, value, _ in _scan_fields(rest, line_no, 0, throwaway):
@@ -582,14 +581,16 @@ def _parse_derive(
         issues.append(ParseIssue(line, offset, f"{via.value} derives need base=; only BORROW may omit it"))
         return None
     if base is not None and base not in declared:
-        later = all_ids()
-        if base in later:
+        declared_at = all_ids().get(base)
+        if declared_at is None:
+            message = f"base {base!r} is never declared"
+        elif declared_at < line:
+            message = f"base {base!r} on line {declared_at} was not loaded because that line has errors"
+        else:
             message = (
-                f"forward reference: base {base!r} is declared at line {later[base]}, "
+                f"forward reference: base {base!r} is declared at line {declared_at}, "
                 f"after this derive at line {line}"
             )
-        else:
-            message = f"base {base!r} is never declared"
         issues.append(ParseIssue(line, scanned["base"][1], message))
         return None
     if values.get("donor_gender") is not None and via is not Formation.BORROWING:
@@ -787,16 +788,16 @@ def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = No
             errors.append(f"item {item_id}: bad expected template: {exc}")
             continue
         try:
-            actual = engine.transfer(state, item_id).template
+            result = engine.transfer(state, item_id)
         except ValueError:
             continue  # already reported above
         rows.append(CheckRow(
             kind="template",
             item_id=item_id,
             expected=expected_text,
-            actual=actual.render(),
-            ok=actual.body == expected.body,
-            via=engine.transfer(state, item_id).rule_id,
+            actual=result.template.render(),
+            ok=result.template.body == expected.body,
+            via=result.rule_id,
         ))
 
     if not errors:

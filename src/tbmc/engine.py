@@ -37,6 +37,7 @@ from .lexicon import (
     EMPTY_RECORD,
     EdgeSpec,
     Formation,
+    Item,
     LexiconState,
     ShiftRecord,
     VERB,
@@ -328,13 +329,29 @@ def shift_record(state: LexiconState, item_id: str) -> ShiftRecord:
     edge = state.edges.get(item_id)
     if edge is None:
         return EMPTY_RECORD
-    base_template = None
-    if edge.base_id is not None and state.item(edge.base_id).category != VERB:
-        base_template = transfer(state, edge.base_id).template
-    return _record(state, item_id, edge, base_template)
+    return _record(state, edge, _base_template(state, edge))
 
 
-def _record(state: LexiconState, item_id: str, edge: EdgeSpec,
+def what_if(state: LexiconState, edge: EdgeSpec) -> Tuple[Item, ShiftRecord, ShiftResult]:
+    """Derive one edge off a snapshot without adding it to the snapshot.
+
+    Returns the item the edge would insert, its record and its resolution,
+    reached by the same step as a corpus ``derive`` line.  The ledger's checks
+    (a fresh id, a live base) do not apply, so a what-if may start from a
+    superseded base.
+    """
+    base_template = _base_template(state, edge)
+    item = state.derived_item(edge)
+    record, result = _resolve_edge(state, item, edge, base_template)
+    return item, record, result
+
+
+def _base_template(state: LexiconState, edge: EdgeSpec) -> Optional[Template]:
+    """The base's resolved template; None with no base or a verb base."""
+    return transfer(state, edge.base_id).template if _resolves_through(state, edge) else None
+
+
+def _record(state: LexiconState, edge: EdgeSpec,
             base_template: Optional[Template]) -> ShiftRecord:
     base_cogset = state.items[edge.base_id].cogset if edge.base_id is not None else None
     return ShiftRecord(
@@ -346,8 +363,16 @@ def _record(state: LexiconState, item_id: str, edge: EdgeSpec,
         animate=edge.animate,
         donor_gender=edge.donor_gender,
         gradcond=edge.gradcond,
-        stratum=state.strata[item_id],
+        stratum=state.strata[edge.base_id] + 1 if edge.base_id is not None else 0,
     )
+
+
+def _resolve_edge(state: LexiconState, item: Item, edge: EdgeSpec,
+                  base_template: Optional[Template]) -> Tuple[ShiftRecord, ShiftResult]:
+    """One gradient step: the derived item's record and its resolution."""
+    record = _record(state, edge, base_template)
+    rules = state.rules if state.rules is not None else DEFAULT_RULES
+    return record, apply_gradient(record, state.profile_for(item), state.initials, rules)
 
 
 def _resolves_through(state: LexiconState, edge: Optional[EdgeSpec]) -> bool:
@@ -384,7 +409,6 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
         seen.add(current)
         pending.append(current)
         edge = state.edges.get(current)
-    rules = state.rules if state.rules is not None else DEFAULT_RULES
     for current in reversed(pending):
         edge = state.edges.get(current)
         item = state.items[current]
@@ -401,8 +425,7 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
             )
         else:
             base_template = resolved[edge.base_id].template if _resolves_through(state, edge) else None
-            record = _record(state, current, edge, base_template)
-            result = apply_gradient(record, state.profile_for(item), state.initials, rules)
+            _, result = _resolve_edge(state, item, edge, base_template)
         # first writer wins, so racing readers return one object per item
         result = resolved.setdefault(current, result)
     return result

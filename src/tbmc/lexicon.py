@@ -220,10 +220,6 @@ class LexiconState:
     def live_count(self) -> int:
         return len(self.items) - len(self.superseded)
 
-    def stratum(self, item_id: str) -> int:
-        self.item(item_id)
-        return self.strata[item_id]
-
     def cognitive_set_members(self, cogset: str) -> List[str]:
         """Live noun items of one cognitive set, sorted by id.
 
@@ -301,15 +297,32 @@ class LexiconState:
     def _insert_edge(self, spec: EdgeSpec) -> "LexiconState":
         if spec.derived_id in self.items:
             raise LexiconError(f"duplicate item id {spec.derived_id!r}")
+        if spec.base_id in self.superseded:
+            raise LexiconError(f"edge {spec.derived_id}: base {spec.base_id!r} is superseded")
+        derived = self.derived_item(spec)
+        self.items[derived.id] = derived
+        self.edges[derived.id] = spec
+        self.strata[derived.id] = self.strata[spec.base_id] + 1 if spec.base_id is not None else 0
+        if spec.process is Formation.WIDENING:
+            base = self.items[spec.base_id]
+            warning = None
+            if not derived.meanings <= base.meanings:
+                warning = f"widen {spec.derived_id}: derived meanings strictly contain the base's"
+            self._supersede(base.id, warning)
+        return self
+
+    def derived_item(self, spec: EdgeSpec) -> Item:
+        """The item ``spec`` would insert, checked against this snapshot.
+
+        Runs every check of an edge except the ledger's (a fresh id, a live
+        base) and writes nothing, so a what-if may start from a superseded
+        base; ``apply_formation`` adds those two checks and the write.
+        """
         base: Optional[Item] = None
         if spec.base_id is not None:
             if spec.base_id not in self.items:
                 raise LexiconError(
                     f"edge {spec.derived_id}: dangling base reference {spec.base_id!r}"
-                )
-            if spec.base_id in self.superseded:
-                raise LexiconError(
-                    f"edge {spec.derived_id}: base {spec.base_id!r} is superseded"
                 )
             base = self.items[spec.base_id]
         elif spec.process is not Formation.BORROWING:
@@ -336,8 +349,6 @@ class LexiconState:
             meanings = frozenset([spec.gloss]) if spec.gloss else frozenset()
             if spec.process is Formation.WIDENING and base is not None:
                 meanings = base.meanings | meanings
-
-        warning = None
         if spec.process is Formation.WIDENING:
             assert base is not None
             if not (meanings <= base.meanings or base.meanings <= meanings):
@@ -345,10 +356,8 @@ class LexiconState:
                     f"edge {spec.derived_id}: widening needs comparable meaning sets "
                     f"(base {sorted(base.meanings)} vs derived {sorted(meanings)})"
                 )
-            if not meanings <= base.meanings:
-                warning = f"widen {spec.derived_id}: derived meanings strictly contain the base's"
 
-        derived = Item(
+        return Item(
             id=spec.derived_id,
             language=language,
             radical=radical,
@@ -362,13 +371,6 @@ class LexiconState:
             fem_prefix=spec.fem_prefix,
             fem_suffix=spec.fem_suffix,
         )
-        stratum = self.strata[base.id] + 1 if base else 0
-        self.items[derived.id] = derived
-        self.edges[derived.id] = spec
-        self.strata[derived.id] = stratum
-        if spec.process is Formation.WIDENING:
-            self._supersede(base.id, warning)
-        return self
 
     # Replaying is used by determinism checks and by the randomized ledger
     # property: same items, same edges, same resulting snapshot.

@@ -1,9 +1,23 @@
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import configuration, settings
 
 from tbmc import corpus
 from tbmc.corpora import fixture_path
+
+# every @given runs the same examples on every run and stores none
+settings.register_profile("tbmc", derandomize=True, deadline=None, database=None)
+settings.load_profile("tbmc")
+# Hypothesis also caches the literals of local source files in its home
+# directory, whatever the profile says; keep that cache out of the tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="tbmc-hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 def _load(name):

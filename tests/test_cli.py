@@ -209,6 +209,16 @@ def test_derive_ad_hoc_to_a_verb_exits_two_like_the_corpus_path(tmp_path, capsys
     assert "category V has no registered template inventory" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--via", "BORROW", "--lang", "riffian"), "edge (ad hoc borrowing): no target cognitive set"),
+    (("--base", "ieis_v", "--via", "CONV"), "edge (ad hoc from ieis_v): no target cognitive set"),
+    (("--via", "BORROW"), "edge (ad hoc borrowing): borrowing needs an explicit language"),
+    (("--via", "BORROW", "--lang", "xx"), "edge (ad hoc borrowing): no profile for language 'xx'"),
+], ids=["borrow-without-target", "verb-base-without-target", "borrow-without-lang", "unknown-lang"])
+def test_derive_ad_hoc_input_errors_name_the_edge(capsys, argv, message):
+    assert run(capsys, "derive", FIG2, *argv) == (2, "", message + "\n")
+
+
 def test_derive_unknown_item(capsys):
     code, _, err = run(capsys, "derive", FIG2, "ghost")
     assert code == 2
@@ -303,3 +313,74 @@ def test_output_is_stable_across_hash_seeds(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+# -- the failure contract: exit 0, 1 or 2, never a traceback ----------------------
+
+_HEAD = ('item id=a lang=riffian radical="ka" cogset=C '
+         "template={N, +SG, -PL, +M, -F, -COL, +SING}\n")
+_HOSTILE_CORPORA = {
+    "empty": "",
+    "not-utf8": b"\xff\xfe\x00",
+    "garbage": "frob x=1\nitem\n=\n{}\n",
+    "tabbed": _HEAD.replace("item ", "item\t") + "derive\tid=b base=a via=CONV\n",
+    "forward": "derive id=c base=late via=CONV\n" + _HEAD.replace("id=a", "id=late"),
+    "dropped-base": 'item id=b lang=riffian radical="k" cogset=C template={N, +SG, +SG}\n'
+                    "derive id=c base=b via=CONV\n",
+    "duplicate": _HEAD + _HEAD,
+    "no-profile": _HEAD.replace("riffian", "klingon"),
+    "no-initial": NO_INITIAL,
+    "widen-twice": _HEAD + "derive id=b base=a via=WIDEN\nderive id=c base=a via=WIDEN\n",
+    "bad-gradcond": _HEAD + "derive id=b base=a via=CONV gradcond=R9\n",
+    "verb-target": _HEAD + "derive id=b base=a via=CONV target=V\nderive id=c base=b via=CONV\n",
+    "borrow-without-donor": 'derive id=b via=BORROW lang=riffian radical="x" target=U\n',
+    "mismatch": _HEAD + "derive id=b base=a via=CONV expect_template={N, +SG, -PL, +M, -F, -COL, +SING}\n",
+}
+_HOSTILE_ARGV = [
+    ("derive", FIG2, "fad_v"), ("derive", FIG2, "sendu_2", "--base", "sendu_1"), ("derive", FIG2),
+    ("derive", FIG2, "--via", "CONV"), ("derive", FIG2, "--base", "ghost", "--via", "CONV"),
+    ("derive", FIG2, "--base", "sendu_1", "--via", "BORROW"),
+    ("derive", FIG2, "--base", "sendu_1", "--via", "CONV", "--lang", "french"),
+    ("derive", FIG2, "--base", "sendu_1", "--via", "CONV", "--gradcond", "R9"),
+    ("derive", FIG2, "--base", "raza_v", "--via", "CONV", "--gradcond", "R3", "--target", "V"),
+    ("derive", FIG2, "--base", "ieis_v", "--via", "WIDEN", "--target", "U"),
+    ("derive", FIG2, "--via", "BORROW", "--target", "U", "--donor-gender", "M", "--lang", "french"),
+    ("derive", FRENCH, "--base", "sol_1", "--via", "MDERIV", "--target", "C"),
+    ("derive", FIG2, "--via", "NOPE"), ("trace", FIG2, "ghost"),
+    ("estimate", FIG2, "--require-any", "nope"), ("enumerate", "--profile", "klingon"),
+    ("solve", "--base", "{N,+SG", "--result", "{N,+SG}"),
+    ("solve", "--base", "{N,+SG,-PL,+M,-F,-COL,+SING}", "--result", "{N,+SG,-PL,-M,+F,-COL,+SING}",
+     "--profile", "xx"),
+    ("solve", "--base", "{N,+SG,-PL,+M,-F,-COL,+SING}", "--result", "{N,+SG,-PL,-M,+F,+DEF,-COL}",
+     "--profile", "riffian"),
+    ("selfcheck", "--atoms", "0"), ("validate", "/nonexistent.tbmc"),
+    ("trace", "/nonexistent.tbmc", "a"), ("validate", os.path.dirname(FIG2)),
+]
+
+
+def _exit_of(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a flag before any command runs
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "None" not in err
+    return code
+
+
+@pytest.mark.parametrize("argv", _HOSTILE_ARGV)
+def test_a_hostile_command_exits_with_a_code(capsys, argv):
+    _exit_of(argv, capsys)
+
+
+@pytest.mark.parametrize("text", _HOSTILE_CORPORA.values(), ids=_HOSTILE_CORPORA.keys())
+def test_a_hostile_corpus_exits_with_a_code(tmp_path, capsys, text):
+    path = tmp_path / "hostile.tbmc"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    for argv in (("validate",), ("validate", "--format", "records"), ("derive", "c"), ("trace", "a"),
+                 ("estimate",), ("derive", "--base", "a", "--via", "WIDEN")):
+        _exit_of((argv[0], str(path), *argv[1:]), capsys)

@@ -338,6 +338,13 @@ _SINGLE_FAULTS = {
     "derive-forward-reference": (
         f'derive id=x base=late via=CONV target=U\nitem id=late lang=riffian radical="l" cogset=C {_T}',
         [(3, 13, "forward reference: base 'late' is declared at line 4, after this derive at line 3")]),
+    "derive-forward-reference-to-a-tabbed-item": (
+        f'derive id=x base=late via=CONV target=U\nitem\tid=late lang=riffian radical="l" cogset=C {_T}',
+        [(3, 13, "forward reference: base 'late' is declared at line 4, after this derive at line 3")]),
+    "derive-off-a-base-dropped-for-a-bad-value": (
+        'item id=b lang=riffian radical="r" cogset=C template={N, +SG, +SG}\nderive id=c base=b via=CONV',
+        [(3, 45, "duplicate atoms in '{N, +SG, +SG}'"),
+         (4, 13, "base 'b' on line 3 was not loaded because that line has errors")]),
     "derive-duplicate-id": (
         "derive id=a base=a via=WIDEN",
         [(3, 1, "id 'a' already declared at line 2")]),

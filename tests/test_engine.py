@@ -27,6 +27,7 @@ from tbmc.engine import (
     solve_operand,
     trace,
     transfer,
+    what_if,
 )
 from tbmc.lexicon import (
     EMPTY_RECORD,
@@ -386,7 +387,7 @@ def test_trace_path_versus_tree(fig2):
 def test_every_fig2_item_traces_to_a_stratum_zero_root(fig2):
     for item_id in fig2.items:
         root = chain_root(fig2, item_id)
-        assert fig2.stratum(root) == 0
+        assert fig2.strata[root] == 0
         assert root not in fig2.edges or fig2.edges[root].base_id is None
 
 
@@ -599,3 +600,52 @@ def test_sibling_what_ifs_keep_their_own_results(fig2):
     assert fig2._resolved == before and "whatif" not in fig2._resolved
     with pytest.raises(ValueError, match="unknown item"):
         transfer(fig2, "whatif")
+
+
+# -- what-ifs: one edge off a snapshot, by the corpus path's own step -----------
+
+def _outcome(derive):
+    try:
+        return derive()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("process", [Formation.CONVERSION, Formation.DERIVATION, Formation.WIDENING])
+def test_what_if_agrees_with_apply_formation_and_transfer(fig2, example1, table3, process):
+    def inserted(state, edge):
+        after = state.apply_formation(edge)
+        return (after.items[edge.derived_id], shift_record(after, edge.derived_id),
+                transfer(after, edge.derived_id))
+
+    compared = 0
+    for state in (fig2, example1, table3):
+        for base_id in state.live_ids():
+            if state.items[base_id].category == "V":
+                continue
+            edge = EdgeSpec(derived_id="probe", process=process, base_id=base_id)
+            assert _outcome(lambda: what_if(state, edge)) == _outcome(lambda: inserted(state, edge))
+            compared += 1
+    assert compared == 53  # the live nouns of the three corpora
+
+
+def test_what_if_adds_nothing_to_the_snapshot(fig2):
+    def tables():
+        return (dict(fig2.items), dict(fig2.edges), dict(fig2._resolved), dict(fig2.strata),
+                fig2.superseded, fig2.warnings)
+
+    before = tables()
+    item, record, result = what_if(fig2, EdgeSpec(
+        derived_id="probe", process=Formation.WIDENING, base_id="sendu_2", gloss="more"))
+    assert (item.id, record.stratum, result.rule_id) == ("probe", 3, "R2")
+    assert tables() == before
+
+
+def test_a_what_if_may_start_from_a_superseded_base(example1):
+    edge = EdgeSpec(derived_id="probe", process=Formation.WIDENING, base_id="hexagone_1")
+    assert not example1.is_live("hexagone_1")
+    _, record, result = what_if(example1, edge)
+    assert (record.base_id, result.rule_id) == ("hexagone_1", "R2")
+    assert result.template == transfer(example1, "hexagone_1").template
+    with pytest.raises(ValueError, match="is superseded"):
+        example1.apply_formation(edge)

@@ -61,9 +61,9 @@ def test_two_conversions_from_one_base():
     state = state.apply_formation(conv("d1", "w0"))
     state = state.apply_formation(conv("d2", "w0"))
     assert state.live_count == 7
-    assert state.stratum("w0") == 0
-    assert state.stratum("d1") == 1
-    assert state.stratum("d2") == 1
+    assert state.strata["w0"] == 0
+    assert state.strata["d1"] == 1
+    assert state.strata["d2"] == 1
 
 
 def test_duplicate_ids_are_rejected():
@@ -98,7 +98,7 @@ def test_borrowing_needs_language_and_radical():
         derived_id="b1", process=Formation.BORROWING, target="U",
         language="riffian", radical="loan", donor_gender="F"))
     assert after.live_count == 1
-    assert after.stratum("b1") == 0
+    assert after.strata["b1"] == 0
 
 
 def test_non_borrow_needs_a_base():
