@@ -12,8 +12,6 @@ brute-force oracle for the algebraic laws, the ``.tbmc`` corpus format, and
 a command-line front end.
 """
 
-from . import algebra, corpus, engine, estimator, lexicon, oracle, realizer, templates
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -27,3 +25,16 @@ __all__ = [
     "templates",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # submodules load on first use, so ``import tbmc`` alone imports none
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -35,6 +35,10 @@ POLARITIES = (POSITIVE, NEGATIVE)
 
 EMPTY: FeatureSet = frozenset()
 
+# largest universes the brute-force checks of this algebra enumerate (oracle)
+TRIPLE_CAP = 4  # associativity quantifies over triples: 16**3 states at most
+PAIR_CAP = 6    # pairwise checks: 64**2 states at most
+
 
 class AtomError(ValueError):
     """A malformed feature atom (empty name, stray sign, whitespace)."""

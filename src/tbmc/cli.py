@@ -23,33 +23,46 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import corpus as corpus_mod
-from . import engine, estimator, oracle, realizer
-from .engine import ShiftResult
-from .lexicon import EdgeSpec, Formation, Item, ShiftRecord
+# A cold command imports only what it runs: the parser and the dispatch need
+# only these, and each command imports the rest of the library itself.
+# ``engine`` stays a module global, called as ``engine.…``, because the
+# benchmark's tracer (bench/spans.py) swaps this global for its proxy.
+from . import engine
+from .algebra import TRIPLE_CAP
+from .lexicon import EdgeSpec, Formation
 from .templates import BUILTIN_PROFILES, Template, render_operand
+
+if TYPE_CHECKING:
+    from .corpus import CorpusDocument, LoadResult
+    from .engine import ShiftResult
+    from .lexicon import Item, ShiftRecord
+    from .realizer import SurfaceForm
 
 OK, MISMATCH_EXIT, INPUT_ERROR = 0, 1, 2
 
 
-def _read_corpus(path: str) -> corpus_mod.CorpusDocument:
+def _read_corpus(path: str) -> CorpusDocument:
     """Read and parse; a problem raises ValueError, one line per issue."""
+    from . import corpus
+
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeError) as exc:
         raise ValueError(f"cannot read corpus: {exc}") from exc
-    document = corpus_mod.parse(text)
+    document = corpus.parse(text)
     if not document.ok:
         raise ValueError("\n".join(issue.render() for issue in document.issues))
     return document
 
 
-def _load_corpus(path: str) -> corpus_mod.LoadResult:
+def _load_corpus(path: str) -> LoadResult:
     """Read, parse and load; a problem raises ValueError, one line per issue."""
-    loaded = corpus_mod.load(_read_corpus(path))
+    from . import corpus
+
+    loaded = corpus.load(_read_corpus(path))
     if loaded.errors:
         raise ValueError("\n".join(loaded.errors))
     return loaded
@@ -62,7 +75,9 @@ def _record(pairs) -> str:
 # -- validate -------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    report = corpus_mod.validate(_read_corpus(args.corpus))
+    from . import corpus
+
+    report = corpus.validate(_read_corpus(args.corpus))
     for err in report.errors:
         print(f"error: {err}", file=sys.stderr)
     if args.format == "records":
@@ -83,7 +98,7 @@ def cmd_validate(args) -> int:
 # -- derive ---------------------------------------------------------------
 
 def _render_shift(item_id: str, record: Optional[ShiftRecord], result: ShiftResult,
-                  surface: Optional[realizer.SurfaceForm], fmt: str) -> None:
+                  surface: Optional[SurfaceForm], fmt: str) -> None:
     if fmt == "records":
         pairs = [("id", item_id), ("rule", result.rule_id),
                  ("template", result.template.render()), ("stratum", result.stratum)]
@@ -106,6 +121,8 @@ def _render_shift(item_id: str, record: Optional[ShiftRecord], result: ShiftResu
 
 
 def _surface_for(item: Item, result: ShiftResult):
+    from . import realizer
+
     # a resolved item is a noun: transfer and apply_gradient reject verbs
     if item.language != realizer.DEFAULT_INVENTORY.language:
         return None
@@ -217,6 +234,8 @@ def cmd_enumerate(args) -> int:
 # -- estimate --------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    from . import estimator
+
     state = _load_corpus(args.corpus).state
     filt = estimator.EstimationFilter(
         require_any=frozenset(args.require_any.split(",")) if args.require_any else
@@ -244,6 +263,8 @@ def cmd_estimate(args) -> int:
 # -- selfcheck --------------------------------------------------------------
 
 def cmd_selfcheck(args) -> int:
+    from . import oracle
+
     pair_atoms = min(args.atoms + 2, oracle.PAIR_CAP)
     results = oracle.default_suite(axiom_atoms=args.atoms, pair_atoms=pair_atoms)
     for result in results:
@@ -316,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("selfcheck", help="brute-force verification of the algebra")
-    p.add_argument("--atoms", type=int, choices=range(1, oracle.TRIPLE_CAP + 1),
-                   default=oracle.TRIPLE_CAP, metavar="N",
-                   help=f"atoms in the axiom universe, 1 to {oracle.TRIPLE_CAP} (default {oracle.TRIPLE_CAP})")
+    p.add_argument("--atoms", type=int, choices=range(1, TRIPLE_CAP + 1),
+                   default=TRIPLE_CAP, metavar="N",
+                   help=f"atoms in the axiom universe, 1 to {TRIPLE_CAP} (default {TRIPLE_CAP})")
     add_format(p)
     p.set_defaults(func=cmd_selfcheck)
 

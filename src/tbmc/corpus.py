@@ -75,6 +75,8 @@ FILE_EXTENSION = ".tbmc"
 
 @dataclass(frozen=True)
 class ParseIssue:
+    """One problem found while parsing, at its 1-based line and column."""
+
     line: int
     column: int
     message: str
@@ -91,6 +93,8 @@ class CorpusParseError(ValueError):
 
 @dataclass(frozen=True)
 class ProfileStmt:
+    """A ``profile`` line: a language's category atom and feature slots."""
+
     line: int
     name: str
     category: str
@@ -99,6 +103,9 @@ class ProfileStmt:
 
 @dataclass(frozen=True)
 class InitialStmt:
+    """An ``initial`` line: the initial template body of one cognitive set of a
+    language, bare until ``load`` binds it to the language's profile."""
+
     line: int
     language: str
     cogset: str
@@ -128,6 +135,9 @@ Statement = Union[ProfileStmt, InitialStmt, ItemStmt, DeriveStmt]
 
 @dataclass(frozen=True)
 class CorpusDocument:
+    """A parsed corpus: a statement per line that could be kept, in file
+    order, and every issue found on the way."""
+
     statements: Tuple[Statement, ...]
     issues: Tuple[ParseIssue, ...] = ()
 
@@ -586,6 +596,8 @@ def _parse_derive(
             message = f"base {base!r} is never declared"
         elif declared_at < line:
             message = f"base {base!r} on line {declared_at} was not loaded because that line has errors"
+        elif declared_at == line:
+            message = f"base {base!r} is this derive's own id"
         else:
             message = (
                 f"forward reference: base {base!r} is declared at line {declared_at}, "
@@ -603,6 +615,9 @@ def _parse_derive(
 
 @dataclass
 class LoadResult:
+    """A loaded corpus: its lexicon snapshot, the document it came from, and
+    one ``line N: ...`` message per statement that ``load`` rejected."""
+
     state: LexiconState
     document: CorpusDocument
     errors: List[str] = field(default_factory=list)
@@ -703,6 +718,9 @@ def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
 
 @dataclass(frozen=True)
 class CheckRow:
+    """One checked expectation: an item's expected and actual template or
+    surface, and whether they match."""
+
     kind: str  # "template" or "surface"
     item_id: str
     expected: str
@@ -713,6 +731,9 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What ``validate`` found: input errors, one row per checked expectation,
+    the snapshot's warnings, and its item and live counts."""
+
     errors: Tuple[str, ...]
     rows: Tuple[CheckRow, ...]
     warnings: Tuple[str, ...]

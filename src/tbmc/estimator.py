@@ -73,6 +73,9 @@ class SetEstimate:
 
 @dataclass(frozen=True)
 class EstimationReport:
+    """The estimates of every cognitive set with live items, in sorted order,
+    and the filter they were tallied under."""
+
     filter: EstimationFilter
     estimates: Tuple[SetEstimate, ...]
 

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from . import algebra
-from .algebra import FeatureSet
+from .algebra import PAIR_CAP, TRIPLE_CAP, FeatureSet
 from .lexicon import EdgeSpec, LexiconState
-
-TRIPLE_CAP = 4  # associativity quantifies over triples: 16**3 states at most
-PAIR_CAP = 6    # pairwise checks: 64**2 states at most
 
 
 class UniverseTooLarge(ValueError):
@@ -51,6 +48,9 @@ def all_subsets(atoms: Sequence[str]) -> List[FeatureSet]:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """The outcome of one named check: how many cases it ran and, when it
+    failed, the first counterexample."""
+
     name: str
     passed: bool
     checks: int

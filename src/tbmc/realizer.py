@@ -182,6 +182,9 @@ MISMATCH = "mismatch"
 
 @dataclass(frozen=True)
 class AuditEntry:
+    """One audited item: its attested and produced surfaces, and whether the
+    rules, an override or neither account for the attestation."""
+
     item_id: str
     expected: str
     produced: str
@@ -190,6 +193,9 @@ class AuditEntry:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The entries of a realization audit, in item-id order, with their
+    tallies by classification."""
+
     entries: Tuple[AuditEntry, ...]
 
     def count(self, classification: str) -> int:

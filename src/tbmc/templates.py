@@ -60,6 +60,9 @@ Slot = Union[Opposition, Free]
 
 @dataclass(frozen=True)
 class LanguageProfile:
+    """A language's template shape: its category atom and its feature slots,
+    in declaration order."""
+
     language: str
     category: str
     slots: Tuple[Slot, ...]

@@ -345,6 +345,9 @@ _SINGLE_FAULTS = {
         'item id=b lang=riffian radical="r" cogset=C template={N, +SG, +SG}\nderive id=c base=b via=CONV',
         [(3, 45, "duplicate atoms in '{N, +SG, +SG}'"),
          (4, 13, "base 'b' on line 3 was not loaded because that line has errors")]),
+    "derive-off-its-own-id": (
+        "derive id=c base=c via=CONV",
+        [(3, 13, "base 'c' is this derive's own id")]),
     "derive-duplicate-id": (
         "derive id=a base=a via=WIDEN",
         [(3, 1, "id 'a' already declared at line 2")]),
