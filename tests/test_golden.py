@@ -1,0 +1,53 @@
+"""Every command of the recorded transcript gives its recorded bytes.
+
+``tests/golden/transcript.json`` holds each command's argv, exit code,
+stdout and stderr, recorded by ``tests/golden/record.py``; this module
+replays them through ``tbmc.cli.main`` in process, and a few in a child
+interpreter, and never rewrites the transcript.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("_golden_record", GOLDEN / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+with open(GOLDEN / "transcript.json", encoding="utf-8") as _handle:
+    TRANSCRIPT = json.load(_handle)
+COMMANDS = {entry["name"]: entry for entry in TRANSCRIPT["commands"]}
+# run again in a fresh `python -m tbmc`, where stdout is a pipe, not a StringIO
+IN_A_CHILD = ("riffian_fig2/trace/ieis_v", "failing/validate", "hostile-argv/19")
+
+
+@pytest.fixture(scope="module")
+def places(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    record.write_corpora(TRANSCRIPT["corpora"], directory)
+    return {"{corpora}": record.CORPORA, "{tmp}": str(directory)}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_command_gives_its_recorded_output(places, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", record.COLUMNS)
+    entry = COMMANDS[name]
+    assert record.run(entry["argv"], places) == {k: entry[k] for k in ("exit", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("name", IN_A_CHILD)
+def test_a_command_gives_its_recorded_output_in_a_child_interpreter(places, name):
+    entry = COMMANDS[name]
+    # the child imports the same tbmc as this session; only these settings vary
+    env = {**os.environ, "COLUMNS": record.COLUMNS, "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run([sys.executable, "-m", "tbmc", *record.substitute(entry["argv"], places)],
+                          capture_output=True, env=env)
+    got = {"exit": proc.returncode, "stdout": record.mask(proc.stdout.decode("utf-8"), places),
+           "stderr": record.mask(proc.stderr.decode("utf-8"), places)}
+    assert got == {k: entry[k] for k in ("exit", "stdout", "stderr")}
