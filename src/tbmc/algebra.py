@@ -25,7 +25,7 @@ enforced where rules are registered, not here.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 FeatureSet = FrozenSet[str]
 
@@ -84,37 +84,7 @@ def base_of(atom: str) -> str:
     return atom[1:] if is_signed(atom) else atom
 
 
-def flipped(atom: str) -> str:
-    """Same feature name, opposite polarity."""
-    return (NEGATIVE if polarity_of(atom) == POSITIVE else POSITIVE) + base_of(atom)
-
-
-def feature_set(atoms: Iterable[str]) -> FeatureSet:
-    """A validated frozenset of atoms."""
-    return frozenset(parse_atom(a) for a in atoms)
-
-
-# -- set operations ----------------------------------------------------------
-#
-# union/intersection/difference are the frozenset built-ins; they are wrapped
-# so call sites read like the algebra they implement and so the brute-force
-# checks have one canonical surface to exercise.
-
-def union(a: FeatureSet, b: FeatureSet) -> FeatureSet:
-    return a | b
-
-
-def intersection(a: FeatureSet, b: FeatureSet) -> FeatureSet:
-    return a & b
-
-
-def difference(a: FeatureSet, b: FeatureSet) -> FeatureSet:
-    return a - b
-
-
-def subset_of(a: FeatureSet, b: FeatureSet) -> bool:
-    return a <= b
-
+# -- the symmetric difference ------------------------------------------------
 
 def symmetric_difference_via_differences(a: FeatureSet, b: FeatureSet) -> FeatureSet:
     """(a \\ b) ∪ (b \\ a): members of exactly one operand."""
@@ -129,12 +99,3 @@ def symmetric_difference_via_envelope(a: FeatureSet, b: FeatureSet) -> FeatureSe
 def symmetric_difference(a: FeatureSet, b: FeatureSet) -> FeatureSet:
     """The canonical Δ.  Identical to both explicit formulations above."""
     return a ^ b
-
-
-def strip_polarity(a: FeatureSet) -> FrozenSet[str]:
-    """Collapse signs: {+SG, -PL, +COL, -COL} -> {SG, PL, COL}.
-
-    Category atoms pass through unchanged, so the unsigned inventory of a
-    full template body still includes its category.
-    """
-    return frozenset(base_of(atom) for atom in a)

@@ -93,12 +93,11 @@ class CorpusParseError(ValueError):
 
 @dataclass(frozen=True)
 class ProfileStmt:
-    """A ``profile`` line: a language's category atom and feature slots."""
+    """A ``profile`` line and the profile it declares: the built-in profile
+    object when the two are equal, so its filled tables are reused."""
 
     line: int
-    name: str
-    category: str
-    slots: Tuple[Slot, ...]
+    profile: LanguageProfile
 
 
 @dataclass(frozen=True)
@@ -465,12 +464,12 @@ def parse(text: str) -> CorpusDocument:
         if head == "profile":
             stmt = _parse_profile(rest, line_no, body_offset, issues)
             if stmt is not None:
-                if stmt.name in profiles_seen:
+                name = stmt.profile.language
+                if name in profiles_seen:
                     issues.append(ParseIssue(
-                        line_no, 1,
-                        f"profile {stmt.name!r} already declared at line {profiles_seen[stmt.name]}"))
+                        line_no, 1, f"profile {name!r} already declared at line {profiles_seen[name]}"))
                 else:
-                    profiles_seen[stmt.name] = line_no
+                    profiles_seen[name] = line_no
                     statements.append(stmt)
         elif head == "initial":
             stmt = _parse_initial(rest, line_no, body_offset, issues)
@@ -532,11 +531,12 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
         else:
             slots.append(Free(part))
     try:
-        LanguageProfile(name, fields["category"][0], tuple(slots))
+        profile = LanguageProfile(name, fields["category"][0], tuple(slots))
     except ValueError as exc:
         issues.append(ParseIssue(line, col, str(exc)))
         return None
-    return ProfileStmt(line=line, name=name, category=fields["category"][0], slots=tuple(slots))
+    builtin = BUILTIN_PROFILES.get(name)
+    return ProfileStmt(line=line, profile=builtin if builtin == profile else profile)
 
 
 def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[InitialStmt]:
@@ -642,8 +642,9 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
     Every noun item is then resolved once, in insertion order, so each
     resolution is one gradient step off its already resolved base; the
     snapshot and the snapshots derived from it answer ``engine.transfer``
-    by lookup.  Items that fail to resolve, and their derivatives, are left
-    unresolved for ``validate`` and the CLI to report.
+    by lookup.  The snapshot stores a failure like a result, so
+    ``validate`` and the CLI read an item that fails, or a derivative of
+    one, without resolving it again.
     """
     profiles: Dict[str, LanguageProfile] = dict(BUILTIN_PROFILES)
     initials: InitialTemplates = default_initials()
@@ -651,7 +652,7 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
 
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
-            profiles[stmt.name] = _declared_profile(stmt)
+            profiles[stmt.profile.language] = stmt.profile
     for stmt in document.statements:
         if isinstance(stmt, InitialStmt):
             if stmt.language not in profiles:
@@ -672,36 +673,13 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
         except ValueError as exc:
             errors.append(f"line {stmt.line}: {exc}")
     state = draft.freeze()
-    _resolve_all(state)  # failures are reported again by validate and the CLI
-    return LoadResult(state=state, document=document, errors=errors)
-
-
-def _resolve_all(state: LexiconState) -> Dict[str, str]:
-    """Resolve every noun item in insertion order; the failures' messages by item.
-
-    An item whose noun base failed fails with the base's message and is not
-    walked again, so a failing chain costs one walk: ``engine.transfer``
-    raises the first failure at the top of the chain, which is the base's.
-    """
-    failed: Dict[str, str] = {}
     for item_id, item in state.items.items():
-        if item.category == VERB:
-            continue
-        edge = state.edges.get(item_id)
-        if edge is not None and edge.base_id in failed:
-            failed[item_id] = failed[edge.base_id]
-            continue
-        try:
-            engine.transfer(state, item_id)
-        except ValueError as exc:
-            failed[item_id] = str(exc)
-    return failed
-
-
-def _declared_profile(stmt: ProfileStmt) -> LanguageProfile:
-    declared = LanguageProfile(stmt.name, stmt.category, stmt.slots)
-    builtin = BUILTIN_PROFILES.get(stmt.name)
-    return builtin if builtin == declared else declared
+        if item.category != VERB:
+            try:
+                engine.transfer(state, item_id)
+            except ValueError:
+                pass  # the snapshot keeps the failure for validate and the CLI
+    return LoadResult(state=state, document=document, errors=errors)
 
 
 def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
@@ -782,7 +760,7 @@ class ValidationReport:
 
 
 def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> ValidationReport:
-    """Load a document, resolve every item, and check all expectations.
+    """Load a document, read every item's resolution, and check all expectations.
 
     Template expectations compare canonical renderings of the expected and
     resolved bodies; surface expectations go through the realization audit,
@@ -793,9 +771,14 @@ def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = No
     errors = list(loaded.errors)
     rows: List[CheckRow] = []
 
-    for item_id, message in _resolve_all(state).items():
-        prefix = f"item {item_id}: "
-        errors.append(message if message.startswith(prefix) else prefix + message)
+    for item_id, item in state.items.items():
+        if item.category == VERB:
+            continue
+        try:
+            engine.transfer(state, item_id)  # a lookup: load resolved every noun
+        except ValueError as exc:
+            message, prefix = str(exc), f"item {item_id}: "
+            errors.append(message if message.startswith(prefix) else prefix + message)
 
     for item_id, edge in state.edges.items():
         if edge.expect_template is None or item_id not in state.items:
@@ -851,7 +834,7 @@ def serialize(document: CorpusDocument) -> str:
     languages: Dict[str, Optional[str]] = {}
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
-            profiles[stmt.name] = _declared_profile(stmt)
+            profiles[stmt.profile.language] = stmt.profile
         elif isinstance(stmt, ItemStmt):
             languages[stmt.item.id] = stmt.item.language
         elif isinstance(stmt, DeriveStmt):
@@ -860,10 +843,11 @@ def serialize(document: CorpusDocument) -> str:
     lines: List[str] = []
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
+            profile = stmt.profile
             slots = ", ".join(
-                f"{s.a}|{s.b}" if isinstance(s, Opposition) else s.name for s in stmt.slots
+                f"{s.a}|{s.b}" if isinstance(s, Opposition) else s.name for s in profile.slots
             )
-            lines.append(f"profile {stmt.name} category={stmt.category} slots=[{slots}]")
+            lines.append(f"profile {profile.language} category={profile.category} slots=[{slots}]")
         elif isinstance(stmt, InitialStmt):
             body = _render_body(stmt.body, profiles.get(stmt.language))
             lines.append(f"initial {stmt.language}.{stmt.cogset} = {body}")

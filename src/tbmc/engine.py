@@ -385,17 +385,28 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
     """Item to template: declared for heads, gradient output otherwise.
 
     A lookup in the snapshot's resolution map, which ``corpus.load`` fills
-    for every item and transitions carry forward.  On a miss the map is
-    filled without recursion: walk up to the nearest resolved ancestor or
-    the chain's head, then resolve downward one gradient step per item.
-    Failures are not stored, so they are raised again on every call.  The
-    writes are idempotent and the walk keeps its own seen-set, so several
-    threads may read one snapshot.
+    for every noun item and transitions carry forward.  The map keeps
+    failures too, as their exception type and message, so a failing item
+    raises a fresh exception of the same type with the same text on every
+    call and is resolved once.  On a miss the map is filled without
+    recursion: walk up to the nearest resolved ancestor or the chain's
+    head, then resolve downward one gradient step per item.  An item whose
+    noun base failed takes the base's failure, so a derivative fails with
+    the first failure up its chain.  The writes are idempotent and the walk
+    keeps its own seen-set, so several threads may read one snapshot.
     """
+    outcome = state._resolved.get(item_id)
+    if outcome is None:
+        outcome = _resolve(state, item_id)
+    if type(outcome) is ShiftResult:
+        return outcome
+    kind, message = outcome
+    raise kind(message)
+
+
+def _resolve(state: LexiconState, item_id: str):
+    """Fill the resolution map up to ``item_id``; its outcome."""
     resolved = state._resolved
-    hit = resolved.get(item_id)
-    if hit is not None:
-        return hit
     item = state.item(item_id)
     if item.category == VERB:
         raise ShiftError(f"item {item_id}: category {VERB} has no registered template inventory")
@@ -410,25 +421,33 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
         pending.append(current)
         edge = state.edges.get(current)
     for current in reversed(pending):
-        edge = state.edges.get(current)
-        item = state.items[current]
-        if edge is None:
-            if item.template is None:
-                raise ShiftError(
-                    f"item {current}: no declared template and no derivation edge"
-                )
-            result = ShiftResult(
-                template=item.template,
-                rule_id="head",
-                operand=None,
-                stratum=state.strata[current],
-            )
-        else:
-            base_template = resolved[edge.base_id].template if _resolves_through(state, edge) else None
-            _, result = _resolve_edge(state, item, edge, base_template)
+        try:
+            outcome = _step(state, current)
+        except ValueError as exc:
+            # the failure as data: an exception would keep its frames alive
+            outcome = (type(exc), str(exc))
         # first writer wins, so racing readers return one object per item
-        result = resolved.setdefault(current, result)
-    return result
+        outcome = resolved.setdefault(current, outcome)
+    return outcome
+
+
+def _step(state: LexiconState, item_id: str):
+    """One item's outcome, its noun base already resolved: a ShiftResult, or
+    the base's failure."""
+    edge = state.edges.get(item_id)
+    item = state.items[item_id]
+    if edge is None:
+        if item.template is None:
+            raise ShiftError(f"item {item_id}: no declared template and no derivation edge")
+        return ShiftResult(template=item.template, rule_id="head", operand=None,
+                           stratum=state.strata[item_id])
+    base_template = None
+    if _resolves_through(state, edge):
+        base = state._resolved[edge.base_id]
+        if type(base) is not ShiftResult:
+            return base
+        base_template = base.template
+    return _resolve_edge(state, item, edge, base_template)[1]
 
 
 def solve_operand(base: Template, derived: Template) -> FeatureSet:
@@ -450,9 +469,10 @@ def solve_operand(base: Template, derived: Template) -> FeatureSet:
 
 # -- phylotemplatic traces ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class TraceNode:
-    """One item in a derivation tree, with the step that produced it."""
+    """One item in a derivation tree, with the step that produced it; each
+    ``trace`` call builds its tree afresh."""
 
     item_id: str
     process: Optional[Formation]
@@ -466,16 +486,21 @@ class TraceNode:
 
 def chain_root(state: LexiconState, item_id: str) -> str:
     """Walk edges upward to the head that starts this item's chain."""
-    current = item_id
-    seen = {current}
+    return _chain(state, item_id)[-1]
+
+
+def _chain(state: LexiconState, item_id: str) -> List[str]:
+    """The item and its bases up to the chain's head, the item first."""
+    path = [item_id]
+    seen = {item_id}
     while True:
-        edge = state.edges.get(current)
+        edge = state.edges.get(path[-1])
         if edge is None or edge.base_id is None:
-            return current
-        current = edge.base_id
-        if current in seen:
+            return path
+        if edge.base_id in seen:
             raise ShiftError(f"cycle detected while tracing {item_id!r}")
-        seen.add(current)
+        seen.add(edge.base_id)
+        path.append(edge.base_id)
 
 
 def _node(state: LexiconState, item_id: str, children: Tuple[TraceNode, ...]) -> TraceNode:
@@ -505,7 +530,8 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
     derived item, it is the single path from the head down to that item.
     Children are ordered by id, so rendering is deterministic.
     """
-    root = chain_root(state, item_id)
+    path = _chain(state, item_id)
+    root = path[-1]
     if root == item_id:
         derived_of = {}
         for did, edge in state.edges.items():
@@ -525,9 +551,6 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
             else:
                 built[current] = _node(state, current, tuple(built.pop(k) for k in kids))
         return built[root]
-    path: List[str] = [item_id]
-    while path[-1] != root:
-        path.append(state.edges[path[-1]].base_id)
     node: Optional[TraceNode] = None
     for current in path:
         node = _node(state, current, (node,) if node else ())

@@ -85,9 +85,6 @@ class EstimationReport:
                 return est
         raise EstimationError(f"no live items in cognitive set {cogset!r}")
 
-    def winners(self) -> Dict[str, Template]:
-        return {e.cogset: e.winner for e in self.estimates if e.winner is not None}
-
 
 def estimate_initial_templates(
     state: LexiconState,

@@ -1,14 +1,14 @@
 """The item store, formation edges, and the derivation bookkeeping.
 
-A :class:`LexiconState` is an immutable snapshot: items by id, one
-:class:`EdgeSpec` per derived item, the set of superseded ids, and a
-stratum (derivation depth) per item.  ``apply_formation`` is a pure
-transition returning a new snapshot, so replaying an edge list over the
-same initial items always reproduces the same state.  A transition copies
-the snapshot's tables once and inserts into the copy; ``corpus.load``
-instead builds one private :class:`Draft` in place, statement by
-statement, and returns it frozen, so loading a corpus is linear in its
-size.
+A :class:`LexiconState` is an immutable snapshot: read-only tables of the
+items by id, one :class:`EdgeSpec` per derived item and a stratum
+(derivation depth) per item, and the frozen set of superseded ids.
+``apply_formation`` is a pure transition returning a new snapshot, so
+replaying an edge list over the same initial items always reproduces the
+same state.  Every write goes through one builder, :class:`Draft`: a
+transition makes a draft off its snapshot, inserts, and freezes it;
+``corpus.load`` inserts every statement into one draft and freezes it once,
+so loading a corpus is linear in its size.
 
 Word and meaning formation comes in four kinds with different ledger
 semantics:
@@ -27,7 +27,8 @@ through the shift engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import FeatureSet
@@ -166,34 +167,43 @@ class ShiftRecord:
 EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_id=None)
 
 
+def _no_entries() -> Mapping:
+    return MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class LexiconState:
     """Immutable lexicon snapshot; all transitions return a new state.
 
-    ``add_item`` and ``apply_formation`` copy the tables, then run one
-    private insert step on the copy.  ``corpus.load`` builds its snapshot
-    in one :class:`Draft` (see ``draft``), whose transitions insert in
-    place, and returns it frozen as a plain ``LexiconState``.
+    The tables ``items``, ``edges``, ``strata`` and ``profiles`` are
+    read-only views (``types.MappingProxyType``), ``superseded`` is a
+    frozenset and ``warnings`` a tuple, so nothing can change a snapshot
+    once it is made.  Every write happens in one builder, :class:`Draft`:
+    ``add_item`` and ``apply_formation`` on a snapshot make a draft off it,
+    insert, and freeze the draft into the successor; on a draft they insert
+    in place, which is how ``corpus.load`` builds its snapshot.
 
-    Beside the lexicon, a snapshot keeps ``_resolved``: the resolution
-    (``engine.ShiftResult``) of each item resolved so far.  ``corpus.load``
-    resolves every noun item when it builds a snapshot, and ``add_item`` and
-    ``apply_formation`` carry the parent's resolutions forward as a copy.
-    That is sound because an insert never changes an existing item's
-    resolution: bases precede derivatives, and rules, profiles and initials
-    are fixed per snapshot.  ``engine.transfer`` adds entries on a miss, by
-    idempotent writes, so the map is left out of equality and repr.
+    Beside the lexicon, a snapshot keeps ``_resolved``: the outcome of each
+    item resolved so far, an ``engine.ShiftResult`` or the failure's
+    exception type and message.  ``corpus.load`` resolves every noun item
+    when it builds a snapshot, and ``add_item`` and ``apply_formation``
+    carry the parent's outcomes forward as a copy.  That is sound because
+    an insert never changes an existing item's outcome: bases precede
+    derivatives, and rules, profiles and initials are fixed per snapshot.
+    ``engine.transfer`` adds entries on a miss, by idempotent writes, so the
+    map is the one writable table, and is left out of equality and repr.
     """
 
     profiles: Mapping[str, LanguageProfile]
     initials: InitialTemplates
-    items: Dict[str, Item] = field(default_factory=dict)
-    edges: Dict[str, EdgeSpec] = field(default_factory=dict)
+    items: Mapping[str, Item] = field(default_factory=_no_entries)
+    edges: Mapping[str, EdgeSpec] = field(default_factory=_no_entries)
     superseded: FrozenSet[str] = frozenset()
-    strata: Dict[str, int] = field(default_factory=dict)
+    strata: Mapping[str, int] = field(default_factory=_no_entries)
     warnings: Tuple[str, ...] = ()
     rules: Optional[RuleRegistry] = None  # engine default when None
-    # item id -> engine.ShiftResult, filled by engine.transfer; see the class docstring
+    # item id -> engine.ShiftResult or (exception type, message), filled by
+    # engine.transfer; see the class docstring
     _resolved: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
@@ -241,75 +251,28 @@ class LexiconState:
     # -- transitions -------------------------------------------------------
 
     def add_item(self, item: Item) -> "LexiconState":
-        return self._copy()._insert_item(item)
+        """Insert one item: in place on a draft, else into a new snapshot."""
+        if isinstance(self, Draft):
+            return self._insert_item(item)
+        return self.draft()._insert_item(item).freeze()
 
     def apply_formation(self, spec: EdgeSpec) -> "LexiconState":
         """Apply one formation edge and return the successor state.
 
         Conversion/derivation/borrowing grow the live count by exactly one;
-        widening swaps the derived item in for its base.  The input state is
-        never modified.
+        widening swaps the derived item in for its base.  A snapshot is
+        never modified; a draft inserts in place and returns itself.
         """
-        return self._copy()._insert_edge(spec)
+        if isinstance(self, Draft):
+            return self._insert_edge(spec)
+        return self.draft()._insert_edge(spec).freeze()
 
     def draft(self) -> "Draft":
-        """A private copy whose transitions insert in place; see :class:`Draft`."""
-        return Draft(**{**vars(self._copy()), "superseded": set(self.superseded),
-                        "warnings": list(self.warnings)})
-
-    def _copy(self) -> "LexiconState":
-        # the successor's own tables; resolutions carry over (class docstring)
-        return replace(self, items=dict(self.items), edges=dict(self.edges),
-                       strata=dict(self.strata), _resolved=dict(self._resolved))
-
-    def _supersede(self, base_id: str, warning: Optional[str]) -> None:
-        # only ever called on a fresh copy, before anyone else can see it
-        object.__setattr__(self, "superseded", self.superseded | {base_id})
-        if warning is not None:
-            object.__setattr__(self, "warnings", self.warnings + (warning,))
-
-    # The insert steps run every check before their first write, so a
-    # failing transition leaves the state it was called on as it was.
-
-    def _insert_item(self, item: Item) -> "LexiconState":
-        if item.id in self.items:
-            raise LexiconError(f"duplicate item id {item.id!r}")
-        if item.language not in self.profiles:
-            raise LexiconError(f"item {item.id}: no profile for language {item.language!r}")
-        if item.category == VERB:
-            if item.cogset is not None or item.template is not None:
-                raise LexiconError(f"item {item.id}: verbs carry no cognitive set or template")
-        else:
-            if item.cogset is None:
-                raise LexiconError(f"item {item.id}: noun items need a cognitive set")
-            if item.template is not None:
-                if item.template.profile != self.profiles[item.language]:
-                    raise LexiconError(
-                        f"item {item.id}: template belongs to another language profile"
-                    )
-                problems = item.template.violations()
-                if problems:
-                    raise LexiconError(f"item {item.id}: " + "; ".join(problems))
-        self.items[item.id] = item
-        self.strata[item.id] = 0
-        return self
-
-    def _insert_edge(self, spec: EdgeSpec) -> "LexiconState":
-        if spec.derived_id in self.items:
-            raise LexiconError(f"duplicate item id {spec.derived_id!r}")
-        if spec.base_id in self.superseded:
-            raise LexiconError(f"edge {spec.derived_id}: base {spec.base_id!r} is superseded")
-        derived = self.derived_item(spec)
-        self.items[derived.id] = derived
-        self.edges[derived.id] = spec
-        self.strata[derived.id] = self.strata[spec.base_id] + 1 if spec.base_id is not None else 0
-        if spec.process is Formation.WIDENING:
-            base = self.items[spec.base_id]
-            warning = None
-            if not derived.meanings <= base.meanings:
-                warning = f"widen {spec.derived_id}: derived meanings strictly contain the base's"
-            self._supersede(base.id, warning)
-        return self
+        """A private builder holding copies of this snapshot's tables; see :class:`Draft`."""
+        return Draft(
+            profiles=self.profiles, initials=self.initials, items=self.items.copy(),
+            edges=self.edges.copy(), superseded=self.superseded, strata=self.strata.copy(),
+            warnings=self.warnings, rules=self.rules, _resolved=self._resolved.copy())
 
     def derived_item(self, spec: EdgeSpec) -> Item:
         """The item ``spec`` would insert, checked against this snapshot.
@@ -372,44 +335,79 @@ class LexiconState:
             fem_suffix=spec.fem_suffix,
         )
 
-    # Replaying is used by determinism checks and by the randomized ledger
-    # property: same items, same edges, same resulting snapshot.
-    def replay(self, specs) -> "LexiconState":
-        state = self
-        for spec in specs:
-            state = state.apply_formation(spec)
-        return state
-
 
 def new_state(
     profiles: Mapping[str, LanguageProfile],
     initials: InitialTemplates,
     rules: Optional[RuleRegistry] = None,
 ) -> LexiconState:
-    return LexiconState(profiles=dict(profiles), initials=initials, rules=rules)
+    return LexiconState(profiles=MappingProxyType(dict(profiles)), initials=initials, rules=rules)
 
 
 class Draft(LexiconState):
-    """A snapshot under construction, private to ``corpus.load``.
+    """A snapshot under construction: the one place where tables are written.
 
-    ``LexiconState.draft`` makes one by copying the tables once; its
+    ``LexiconState.draft`` makes one with its own copies of the tables;
     ``add_item`` and ``apply_formation`` insert into the draft itself and
     return it, so building a lexicon of n items copies nothing per
-    statement.  A failing transition still leaves the draft as it was,
-    because the insert steps check everything before they write.
-    ``freeze`` hands back a plain, immutable :class:`LexiconState`; the
-    draft is not used after that.
+    statement.  ``superseded`` and ``warnings`` stay the parent's frozenset
+    and tuple until a widening adds to them, so a draft that widens nothing
+    copies neither.  A failing insert leaves the draft as it was, because
+    the insert steps run every check before their first write.  ``freeze``
+    hands back a plain :class:`LexiconState` whose tables are read-only
+    views of the draft's; the draft must not be used after that.
     """
 
-    def _copy(self) -> "Draft":
-        return self
-
-    def _supersede(self, base_id: str, warning: Optional[str]) -> None:
-        self.superseded.add(base_id)  # a set and a list while drafting; see LexiconState.draft
-        if warning is not None:
-            self.warnings.append(warning)
+    # a draft is the builder, so unlike a snapshot it may rebind its attributes
+    __setattr__ = object.__setattr__
 
     def freeze(self) -> LexiconState:
-        return LexiconState(**{**vars(self), "superseded": frozenset(self.superseded),
-                               "warnings": tuple(self.warnings)})
+        return LexiconState(
+            profiles=self.profiles, initials=self.initials, items=MappingProxyType(self.items),
+            edges=MappingProxyType(self.edges), superseded=frozenset(self.superseded),
+            strata=MappingProxyType(self.strata), warnings=tuple(self.warnings),
+            rules=self.rules, _resolved=self._resolved)
 
+    def _insert_item(self, item: Item) -> "Draft":
+        if item.id in self.items:
+            raise LexiconError(f"duplicate item id {item.id!r}")
+        if item.language not in self.profiles:
+            raise LexiconError(f"item {item.id}: no profile for language {item.language!r}")
+        if item.category == VERB:
+            if item.cogset is not None or item.template is not None:
+                raise LexiconError(f"item {item.id}: verbs carry no cognitive set or template")
+        else:
+            if item.cogset is None:
+                raise LexiconError(f"item {item.id}: noun items need a cognitive set")
+            if item.template is not None:
+                if item.template.profile != self.profiles[item.language]:
+                    raise LexiconError(
+                        f"item {item.id}: template belongs to another language profile"
+                    )
+                problems = item.template.violations()
+                if problems:
+                    raise LexiconError(f"item {item.id}: " + "; ".join(problems))
+        self.items[item.id] = item
+        self.strata[item.id] = 0
+        return self
+
+    def _insert_edge(self, spec: EdgeSpec) -> "Draft":
+        if spec.derived_id in self.items:
+            raise LexiconError(f"duplicate item id {spec.derived_id!r}")
+        if spec.base_id in self.superseded:
+            raise LexiconError(f"edge {spec.derived_id}: base {spec.base_id!r} is superseded")
+        derived = self.derived_item(spec)
+        self.items[derived.id] = derived
+        self.edges[derived.id] = spec
+        self.strata[derived.id] = self.strata[spec.base_id] + 1 if spec.base_id is not None else 0
+        if spec.process is Formation.WIDENING:
+            base = self.items[spec.base_id]
+            if isinstance(self.superseded, frozenset):
+                self.superseded = set(self.superseded)  # the first widening copies it
+            self.superseded.add(base.id)
+            if not derived.meanings <= base.meanings:
+                if isinstance(self.warnings, tuple):
+                    self.warnings = list(self.warnings)
+                self.warnings.append(
+                    f"widen {spec.derived_id}: derived meanings strictly contain the base's")
+        return self

@@ -2,8 +2,7 @@
 
 The checks here are the ground truth the algebra and the shift engine are
 held to: group axioms of the symmetric difference, agreement of its two
-formulations, closure, uniqueness of the gradient operand, and the
-live-count ledger of the formation processes.
+formulations, closure, and uniqueness of the gradient operand.
 
 Independence matters: the reference side of every comparison is a naive
 membership loop over explicitly enumerated subsets, written without the
@@ -19,7 +18,6 @@ from typing import Callable, List, Optional, Sequence
 
 from . import algebra
 from .algebra import PAIR_CAP, TRIPLE_CAP, FeatureSet
-from .lexicon import EdgeSpec, LexiconState
 
 
 class UniverseTooLarge(ValueError):
@@ -163,43 +161,6 @@ def verify_operand_uniqueness(atoms: Sequence[str]) -> VerificationResult:
                     "operand-uniqueness", False, checks,
                     f"t Δ (t Δ u) != u at t={_show(t)}, u={_show(u)}")
     return VerificationResult("operand-uniqueness", True, checks)
-
-
-def verify_ledger_step(
-    before: LexiconState,
-    edge: EdgeSpec,
-    after: LexiconState,
-) -> VerificationResult:
-    """Live-count delta of one applied edge matches its process kind:
-    +1 for conversion, derivation and borrowing; 0 for widening."""
-    expected = 1 if edge.process.adds_live_item else 0
-    actual = after.live_count - before.live_count
-    if actual != expected:
-        return VerificationResult(
-            "ledger-step", False, 1,
-            f"{edge.process.value} edge {edge.derived_id}: live count moved by {actual}, expected {expected}")
-    return VerificationResult("ledger-step", True, 1)
-
-
-def verify_ledger_replay(initial: LexiconState, specs: Sequence[EdgeSpec]) -> VerificationResult:
-    """Replay an edge list checking every step plus the closing balance:
-    final live count = initial + number of non-widening edges."""
-    state = initial
-    checks = 0
-    for spec in specs:
-        nxt = state.apply_formation(spec)
-        step = verify_ledger_step(state, spec, nxt)
-        checks += step.checks
-        if not step.passed:
-            return VerificationResult("ledger-replay", False, checks, step.counterexample)
-        state = nxt
-    additions = sum(1 for s in specs if s.process.adds_live_item)
-    checks += 1
-    if state.live_count != initial.live_count + additions:
-        return VerificationResult(
-            "ledger-replay", False, checks,
-            f"final live count {state.live_count} != {initial.live_count} + {additions}")
-    return VerificationResult("ledger-replay", True, checks)
 
 
 def default_suite(axiom_atoms: int = 4, pair_atoms: int = 6) -> List[VerificationResult]:

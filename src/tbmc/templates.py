@@ -99,9 +99,6 @@ class Template:
     def violations(self) -> List[str]:
         return validate(self.body, self.profile)
 
-    def is_well_formed(self) -> bool:
-        return not self.violations()
-
     def render(self) -> str:
         return canonical_render(self.body, self.profile)
 

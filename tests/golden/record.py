@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from tbmc import cli, corpus
@@ -185,8 +186,6 @@ def write_corpora(corpora, directory):
 
 
 def main():
-    import tempfile
-
     os.environ["COLUMNS"] = COLUMNS
     corpora, commands = build()
     entries = []

@@ -112,7 +112,7 @@ def test_criterion_3_chain_corpus(fig2, fig2_document):
 def test_criterion_4_initial_template_recovery(table3):
     estimates = estimator.estimate_initial_templates(table3)
     registry = default_initials()
-    recovered = estimates.winners()
+    recovered = {e.cogset: e.winner for e in estimates.estimates if e.winner is not None}
     assert set(recovered) == {"C", "U", "NA"}
     for cogset, winner in recovered.items():
         assert winner.body == registry.get("riffian", cogset).body
@@ -214,9 +214,9 @@ def test_criterion_7_properties(fig2):
             donor_gender=rng.choice(["M", "F"]) if process is Formation.BORROWING else None,
         )
         after = state.apply_formation(spec)
-        assert oracle.verify_ledger_step(state, spec, after).passed
+        assert after.live_count - state.live_count == (1 if spec.process.adds_live_item else 0)
         resolved = transfer(after, spec.derived_id).template
-        assert resolved.is_well_formed()
+        assert not resolved.violations()
         if process is Formation.WIDENING:
             assert resolved.body == transfer(after, spec.base_id).template.body
         else:

@@ -5,15 +5,13 @@ from hypothesis import given, strategies as st
 
 from tbmc import algebra
 from tbmc.algebra import (
-    feature_set,
-    strip_polarity,
     symmetric_difference,
     symmetric_difference_via_differences,
     symmetric_difference_via_envelope,
 )
 from tbmc.oracle import all_subsets, naive_symmetric_difference
 
-FS = feature_set
+FS = frozenset
 
 
 def test_atom_shapes():
@@ -23,8 +21,6 @@ def test_atom_shapes():
     assert algebra.base_of("+SG") == "SG"
     assert algebra.base_of("N") == "N"
     assert algebra.polarity_of("-COL") == "-"
-    assert algebra.flipped("+M") == "-M"
-    assert algebra.flipped("-M") == "+M"
 
 
 @pytest.mark.parametrize("bad", ["", "+", "-", "+ SG", "N N"])
@@ -61,21 +57,6 @@ def test_both_formulations_agree_exhaustively():
             split = symmetric_difference_via_differences(left, right)
             envelope = symmetric_difference_via_envelope(left, right)
             assert split == envelope == symmetric_difference(left, right)
-
-
-def test_basic_set_operations():
-    assert algebra.union(FS({"+M", "-F"}), FS({"-F", "+COL"})) == FS({"+M", "-F", "+COL"})
-    assert algebra.intersection(FS({"+M", "-F"}), FS({"+F", "-M"})) == frozenset()
-    assert algebra.subset_of(FS({"N", "+SG"}), FS({"N", "+SG", "-PL"}))
-    assert not algebra.subset_of(FS({"+PL"}), FS({"N", "+SG"}))
-    assert algebra.difference(FS({"+M", "-F"}), FS({"+M"})) == FS({"-F"})
-
-
-def test_strip_polarity():
-    assert strip_polarity(FS({"+SG", "-PL", "+M", "-F"})) == {"SG", "PL", "M", "F"}
-    assert strip_polarity(frozenset()) == frozenset()
-    assert strip_polarity(FS({"+COL", "-COL"})) == {"COL"}
-    assert strip_polarity(FS({"N", "+SG"})) == {"N", "SG"}
 
 
 _subsets = st.frozensets(st.sampled_from(["+a", "-a", "+b", "-b", "+c", "-c"]), max_size=6)

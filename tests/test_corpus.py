@@ -2,7 +2,7 @@
 
 import pytest
 
-from tbmc import corpus
+from tbmc import corpus, engine
 from tbmc.corpora import BUNDLED, fixture_path
 from tbmc.corpus import (
     DeriveStmt,
@@ -126,7 +126,7 @@ def test_a_tab_after_the_statement_keyword_parses():
     assert [type(s) for s in tabbed_doc.statements] == [ProfileStmt, ItemStmt]
     assert tabbed_doc == spaced_doc  # the same statements, and the same issue at the same column
     assert [(i.line, i.column) for i in tabbed_doc.issues] == [(2, 89)]
-    assert tabbed_doc.statements[0].name == "riffian"
+    assert tabbed_doc.statements[0].profile.language == "riffian"
 
 
 def test_parse_never_raises_on_garbage():
@@ -204,6 +204,27 @@ def test_validation_resolves_every_item():
     assert report.errors and "no declared template" in report.errors[0]
     assert report.render().split("\n")[0] == \
         "error: item a: no declared template and no derivation edge"  # one prefix, not two
+
+
+def test_validate_adds_no_gradient_step_after_load(monkeypatch):
+    steps = []
+    gradient = engine.apply_gradient
+    monkeypatch.setattr(engine, "apply_gradient", lambda *args: steps.append(args[0]) or gradient(*args))
+    doc = parse(HEADER + 'item id=a lang=riffian radical="x" cogset=C '
+                "template={N, +SG, -PL, +M, -F, -COL, +SING}\n"
+                "derive id=b base=a via=CONV target=U\n"
+                "derive id=c base=b via=MDERIV target=ZZ\n"
+                "derive id=d base=c via=CONV\n"
+                "derive id=e base=d via=WIDEN\n")
+    load(doc)
+    assert [record.base_id for record in steps] == ["a", "b"]  # c fails; d and e take its failure
+    report = validate(doc)
+    assert len(steps) == 4  # the load inside validate, and nothing more
+    assert report.errors == (
+        "item c: no initial template for cognitive set 'ZZ' in 'riffian'",
+        "item d: no initial template for cognitive set 'ZZ' in 'riffian'",
+        "item e: no initial template for cognitive set 'ZZ' in 'riffian'",
+    )
 
 
 def test_a_long_chain_under_an_unresolvable_head_reports_every_item():

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from tbmc import algebra, corpus
+from tbmc import algebra, corpus, engine
 from tbmc.engine import (
     Clause,
     DEFAULT_RULES,
@@ -40,6 +40,7 @@ from tbmc.lexicon import (
 )
 from tbmc.templates import (
     RIFFIAN,
+    InitialTemplateError,
     LanguageProfile,
     default_initials,
     enumerate_candidates,
@@ -231,7 +232,7 @@ def test_every_rule_output_is_well_formed(fig2, example1):
         for item_id, item in state.items.items():
             if item.category == "V":
                 continue
-            assert transfer(state, item_id).template.is_well_formed()
+            assert not transfer(state, item_id).template.violations()
 
 
 # -- operand solving ------------------------------------------------------------
@@ -540,9 +541,21 @@ def test_a_5000_deep_chain_resolves_lazily_without_recursion():
     assert len(state._resolved) == 5000
 
 
+def _outcome_of(state, item_id):
+    try:
+        return _key(transfer(state, item_id))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 def test_concurrent_readers_of_one_snapshot_agree():
     def build():
         state = new_state({"riffian": RIFFIAN}, default_initials())
+        # a failing chain: a head without a template, and nine items under it
+        state = state.add_item(Item(id="f", language="riffian", radical="ka", cogset="C"))
+        for k in range(1, 10):
+            state = state.apply_formation(EdgeSpec(
+                derived_id=f"f_{k}", process=Formation.CONVERSION, base_id=f"f_{k - 1}" if k > 1 else "f"))
         for c in range(3):
             state = state.add_item(Item(id=f"h{c}", language="riffian", radical="ka",
                                         cogset="C", template=NA_INITIAL))
@@ -552,9 +565,11 @@ def test_concurrent_readers_of_one_snapshot_agree():
                     base_id=f"h{c}_{k - 1}" if k > 1 else f"h{c}", animate=k % 3 == 0))
         return state
 
-    expected = {i: _key(transfer(build(), i)) for i in build().items}
+    expected = {i: _outcome_of(build(), i) for i in build().items}
     ids = list(expected)
-    assert len(ids) == 30
+    assert len(ids) == 40
+    failure = (ShiftError, "item f: no declared template and no derivation edge")
+    assert [i for i in ids if expected[i] == failure] == ["f"] + [f"f_{k}" for k in range(1, 10)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -566,7 +581,7 @@ def test_concurrent_readers_of_one_snapshot_agree():
             def read(order):
                 start.wait()
                 try:
-                    results.append({i: _key(transfer(state, i)) for i in order})
+                    results.append({i: _outcome_of(state, i) for i in order})
                 except Exception as exc:  # a false cycle or any other error
                     failures.append(exc)
 
@@ -581,6 +596,32 @@ def test_concurrent_readers_of_one_snapshot_agree():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_a_failure_is_resolved_once_and_raised_again_with_the_same_text(monkeypatch):
+    steps = []
+    gradient = engine.apply_gradient
+    monkeypatch.setattr(engine, "apply_gradient", lambda *args: steps.append(args[0]) or gradient(*args))
+    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
+                                template=NA_INITIAL))
+    for edge in (
+        EdgeSpec(derived_id="f1", process=Formation.DERIVATION, base_id="h", target="ZZ"),
+        EdgeSpec(derived_id="f2", process=Formation.CONVERSION, base_id="f1"),
+        # R4 ignores the base's template, but a failed base still fails it
+        EdgeSpec(derived_id="f3", process=Formation.DERIVATION, base_id="f2", target="C"),
+    ):
+        state = state.apply_formation(edge)
+    raised = []
+    for item_id in ("f3", "f2", "f1", "f3", "f1"):
+        with pytest.raises(ValueError) as info:
+            transfer(state, item_id)
+        raised.append(info.value)
+    assert {(type(exc), str(exc)) for exc in raised} == {
+        (InitialTemplateError, "no initial template for cognitive set 'ZZ' in 'riffian'")}
+    assert len({id(exc) for exc in raised}) == len(raised)  # a fresh exception per call
+    assert [record.base_id for record in steps] == ["h"]  # f1's one step; f2 and f3 take its failure
+    assert transfer(state, "h").rule_id == "head"
 
 
 def test_sibling_what_ifs_keep_their_own_results(fig2):

@@ -42,8 +42,9 @@ def test_deverbal_sample_recovers_the_registry(table3):
 
 def test_winners_match_the_default_initials(table3):
     registry = default_initials()
-    for cogset, winner in estimate_initial_templates(table3).winners().items():
-        assert winner.body == registry.get("riffian", cogset).body
+    for est in estimate_initial_templates(table3).estimates:
+        if est.winner is not None:
+            assert est.winner.body == registry.get("riffian", est.cogset).body
 
 
 def test_singleton_group():

@@ -32,6 +32,12 @@ def five_item_state():
     return state
 
 
+def replay(state, specs):
+    for spec in specs:
+        state = state.apply_formation(spec)
+    return state
+
+
 def conv(derived, base, **kw):
     return EdgeSpec(derived_id=derived, process=Formation.CONVERSION, base_id=base,
                     target="U", **kw)
@@ -197,8 +203,8 @@ def test_replay_is_deterministic():
         EdgeSpec(derived_id="d3", process=Formation.DERIVATION, base_id="w2",
                  target="NA", radical="radX", gloss="c"),
     ]
-    first = five_item_state().replay(specs)
-    second = five_item_state().replay(specs)
+    first = replay(five_item_state(), specs)
+    second = replay(five_item_state(), specs)
     assert first == second
     assert first.items == second.items
     assert first.strata == second.strata
@@ -215,7 +221,29 @@ def test_live_count_ledger():
                  language="riffian", radical="z", donor_gender="M"),
         EdgeSpec(derived_id="d5", process=Formation.WIDENING, base_id="d1", target="C"),
     ]
-    state = five_item_state().replay(specs)
+    state = replay(five_item_state(), specs)
     additions = sum(1 for s in specs if s.process.adds_live_item)
     assert state.live_count == 5 + additions
     assert len(state.items) == 5 + len(specs)
+
+
+def _snapshot(how, fig2):
+    if how == "new_state":
+        return riffian_state()
+    if how == "loaded":
+        return fig2
+    if how == "add_item":
+        return riffian_state().add_item(head(0))
+    return five_item_state().apply_formation(conv("d1", "w0"))
+
+
+@pytest.mark.parametrize("how", ["new_state", "loaded", "add_item", "apply_formation"])
+@pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles"])
+def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
+    view = getattr(_snapshot(how, fig2), table)
+    with pytest.raises(TypeError):
+        view["x"] = None
+    for key in list(view)[:1]:
+        with pytest.raises(TypeError):
+            del view[key]
+
