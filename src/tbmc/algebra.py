@@ -73,12 +73,6 @@ def is_category(atom: str) -> bool:
     return not is_signed(atom)
 
 
-def polarity_of(atom: str) -> str:
-    if not is_signed(atom):
-        raise AtomError(f"{atom!r} carries no polarity")
-    return atom[0]
-
-
 def base_of(atom: str) -> str:
     """The unsigned feature name; category atoms pass through unchanged."""
     return atom[1:] if is_signed(atom) else atom

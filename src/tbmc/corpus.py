@@ -169,7 +169,10 @@ def _strip_comment(raw: str) -> str:
 # ``\s`` matches exactly the characters for which ``str.isspace()`` is true
 _SPACES = re.compile(r"\s*")
 _SPACE = re.compile(r"\s")
-_BARE = re.compile(r"\S*")
+# one well-formed field and the whitespace after it: the key, then the text
+# of a quoted value, or a braced, bracketed or bare value, or an empty one
+# before whitespace
+_FIELD = re.compile(r'([^\s=]*)=(?:"([^"]*)"|(\{[^}]*\}|\[[^\]]*\]|(?!["{\[])\S+|(?=\s)))\s*')
 
 
 def _scan_fields(text: str, line: int, offset: int, issues: List[ParseIssue]) -> List[Tuple[str, str, int]]:
@@ -177,40 +180,31 @@ def _scan_fields(text: str, line: int, offset: int, issues: List[ParseIssue]) ->
     fields: List[Tuple[str, str, int]] = []
     n = len(text)
     pos = _SPACES.match(text).end()
+    match = _FIELD.match
     while pos < n:
-        start = pos
-        eq = text.find("=", pos)
-        if eq < 0 or _SPACE.search(text, pos, eq):
-            issues.append(ParseIssue(line, offset + pos + 1, f"expected key=value, found {text[pos:].split()[0]!r}"))
+        field_match = match(text, pos)
+        if field_match is None:
+            issues.append(_field_issue(text, pos, line, offset))
             return fields
-        key = text[pos:eq]
-        pos = eq + 1
-        if pos >= n:
-            issues.append(ParseIssue(line, offset + pos, f"missing value for {key!r}"))
-            return fields
-        opener = text[pos]
-        if opener == '"':
-            end = text.find('"', pos + 1)
-            if end < 0:
-                issues.append(ParseIssue(line, offset + pos + 1, f"unterminated string for {key!r}"))
-                return fields
-            value = text[pos + 1:end]
-            pos = end + 1
-        elif opener in "{[":
-            closer = "}" if opener == "{" else "]"
-            end = text.find(closer, pos + 1)
-            if end < 0:
-                issues.append(ParseIssue(line, offset + pos + 1, f"unterminated {opener!r} value for {key!r}"))
-                return fields
-            value = text[pos:end + 1]
-            pos = end + 1
-        else:
-            end = _BARE.match(text, pos).end()
-            value = text[pos:end]
-            pos = end
-        fields.append((key, value, offset + start + 1))
-        pos = _SPACES.match(text, pos).end()
+        key, quoted, value = field_match.groups()
+        fields.append((key, value if quoted is None else quoted, offset + pos + 1))
+        pos = field_match.end()
     return fields
+
+
+def _field_issue(text: str, pos: int, line: int, offset: int) -> ParseIssue:
+    """Why no well-formed field starts at ``pos``."""
+    eq = text.find("=", pos)
+    if eq < 0 or _SPACE.search(text, pos, eq):
+        return ParseIssue(line, offset + pos + 1, f"expected key=value, found {text[pos:].split()[0]!r}")
+    key, pos = text[pos:eq], eq + 1
+    if pos >= len(text):
+        return ParseIssue(line, offset + pos, f"missing value for {key!r}")
+    # only a quote, brace or bracket that never closes stops a value here
+    opener = text[pos]
+    if opener == '"':
+        return ParseIssue(line, offset + pos + 1, f"unterminated string for {key!r}")
+    return ParseIssue(line, offset + pos + 1, f"unterminated {opener!r} value for {key!r}")
 
 
 def _fields_to_dict(
@@ -640,9 +634,11 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
     ``LexiconState``, so load is linear in the corpus size.
 
     Every noun item is then resolved once, in insertion order, so each
-    resolution is one gradient step off its already resolved base; the
-    snapshot and the snapshots derived from it answer ``engine.transfer``
-    by lookup.  The snapshot stores a failure like a result, so
+    resolution is one gradient step off its already resolved base, and the
+    gradient step itself runs once per distinct step key: derives that
+    repeat a key read the snapshot's step memo.  The snapshot and the
+    snapshots derived from it answer ``engine.transfer`` by lookup and share
+    that memo.  The snapshot stores a failure like a result, so
     ``validate`` and the CLI read an item that fails, or a derivative of
     one, without resolving it again.
     """
@@ -831,15 +827,12 @@ def serialize(document: CorpusDocument) -> str:
     """Canonical text for a document; parse(serialize(parse(x))) is
     structurally equal to parse(x).  LF line endings, NFC throughout."""
     profiles = dict(BUILTIN_PROFILES)
-    languages: Dict[str, Optional[str]] = {}
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
             profiles[stmt.profile.language] = stmt.profile
-        elif isinstance(stmt, ItemStmt):
-            languages[stmt.item.id] = stmt.item.language
-        elif isinstance(stmt, DeriveStmt):
-            languages[stmt.edge.derived_id] = stmt.edge.language or languages.get(stmt.edge.base_id)
 
+    # an item's language; a derive's base is on an earlier line
+    languages: Dict[str, Optional[str]] = {}
     lines: List[str] = []
     for stmt in document.statements:
         if isinstance(stmt, ProfileStmt):
@@ -852,11 +845,13 @@ def serialize(document: CorpusDocument) -> str:
             body = _render_body(stmt.body, profiles.get(stmt.language))
             lines.append(f"initial {stmt.language}.{stmt.cogset} = {body}")
         elif isinstance(stmt, ItemStmt):
+            languages[stmt.item.id] = stmt.item.language
             values = {**vars(stmt.item), "template": stmt.template}
             lines.append("item " + _ITEM_KEYS.write(values, profiles.get(stmt.item.language)))
         else:
-            profile = profiles.get(languages.get(stmt.edge.derived_id) or "")
-            lines.append("derive " + _DERIVE_KEYS.write(vars(stmt.edge), profile))
+            edge = stmt.edge
+            language = languages[edge.derived_id] = edge.language or languages.get(edge.base_id)
+            lines.append("derive " + _DERIVE_KEYS.write(vars(edge), profiles.get(language or "")))
     return "\n".join(lines) + "\n"
 
 

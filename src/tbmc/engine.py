@@ -390,10 +390,12 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
     raises a fresh exception of the same type with the same text on every
     call and is resolved once.  On a miss the map is filled without
     recursion: walk up to the nearest resolved ancestor or the chain's
-    head, then resolve downward one gradient step per item.  An item whose
-    noun base failed takes the base's failure, so a derivative fails with
-    the first failure up its chain.  The writes are idempotent and the walk
-    keeps its own seen-set, so several threads may read one snapshot.
+    head, then resolve downward one gradient step per item.  A step whose
+    key was met before along the snapshot's lineage is a lookup in the
+    snapshot's step memo (see ``_step``).  An item whose noun base failed
+    takes the base's failure, so a derivative fails with the first failure
+    up its chain.  The writes are idempotent and the walk keeps its own
+    seen-set, so several threads may read one snapshot.
     """
     outcome = state._resolved.get(item_id)
     if outcome is None:
@@ -433,7 +435,15 @@ def _resolve(state: LexiconState, item_id: str):
 
 def _step(state: LexiconState, item_id: str):
     """One item's outcome, its noun base already resolved: a ShiftResult, or
-    the base's failure."""
+    the base's failure.
+
+    A successful gradient step depends only on its step key (the derived
+    item's language, the edge's process, target and qualifiers, and the
+    base's template and cogset) and on the rules, profiles and initials of
+    the snapshot's lineage.  So it runs once per distinct key, and later
+    items with that key take the stored result with their own stratum.  A
+    failing step is never stored: its message names the item's own base.
+    """
     edge = state.edges.get(item_id)
     item = state.items[item_id]
     if edge is None:
@@ -441,13 +451,24 @@ def _step(state: LexiconState, item_id: str):
             raise ShiftError(f"item {item_id}: no declared template and no derivation edge")
         return ShiftResult(template=item.template, rule_id="head", operand=None,
                            stratum=state.strata[item_id])
-    base_template = None
+    base_template = base_key = None
     if _resolves_through(state, edge):
         base = state._resolved[edge.base_id]
         if type(base) is not ShiftResult:
             return base
         base_template = base.template
-    return _resolve_edge(state, item, edge, base_template)[1]
+        # the language and body, not the Template: hashing one walks its profile
+        base_key = (base_template.profile.language, base_template.body)
+    base_cogset = state.items[edge.base_id].cogset if edge.base_id is not None else None
+    key = (item.language, edge.process, base_key, edge.target, base_cogset,
+           edge.animate, edge.donor_gender, edge.gradcond)
+    known = state._steps.get(key)
+    if known is None:
+        result = _resolve_edge(state, item, edge, base_template)[1]
+        state._steps.setdefault(key, result)  # a racing reader may have stored its own
+        return result
+    return ShiftResult(template=known.template, rule_id=known.rule_id, operand=known.operand,
+                       stratum=state.strata[item_id])
 
 
 def solve_operand(base: Template, derived: Template) -> FeatureSet:
@@ -482,11 +503,6 @@ class TraceNode:
     gloss: Optional[str]
     superseded: bool
     children: Tuple["TraceNode", ...] = ()
-
-
-def chain_root(state: LexiconState, item_id: str) -> str:
-    """Walk edges upward to the head that starts this item's chain."""
-    return _chain(state, item_id)[-1]
 
 
 def _chain(state: LexiconState, item_id: str) -> List[str]:

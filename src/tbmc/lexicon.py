@@ -57,11 +57,14 @@ class Formation(enum.Enum):
         return self is not Formation.WIDENING
 
 
+_FORMATIONS: Dict[str, Formation] = {formation.value: formation for formation in Formation}
+
+
 def formation_from_token(token: str) -> Formation:
-    try:
-        return Formation(token)
-    except ValueError:
-        raise LexiconError(f"unknown formation process {token!r}") from None
+    formation = _FORMATIONS.get(token)
+    if formation is None:
+        raise LexiconError(f"unknown formation process {token!r}")
+    return formation
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,6 @@ class ShiftRecord:
 EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_id=None)
 
 
-def _no_entries() -> Mapping:
-    return MappingProxyType({})
-
-
 @dataclass(frozen=True)
 class LexiconState:
     """Immutable lexicon snapshot; all transitions return a new state.
@@ -178,33 +177,54 @@ class LexiconState:
     The tables ``items``, ``edges``, ``strata`` and ``profiles`` are
     read-only views (``types.MappingProxyType``), ``superseded`` is a
     frozenset and ``warnings`` a tuple, so nothing can change a snapshot
-    once it is made.  Every write happens in one builder, :class:`Draft`:
-    ``add_item`` and ``apply_formation`` on a snapshot make a draft off it,
-    insert, and freeze the draft into the successor; on a draft they insert
-    in place, which is how ``corpus.load`` builds its snapshot.
+    once it is made.  That holds however the snapshot is built: given a
+    plain dict, a set or a list, the constructor wraps the dict in a view
+    and freezes the others.  Every write happens in one builder,
+    :class:`Draft`: ``add_item`` and ``apply_formation`` on a snapshot make
+    a draft off it, insert, and freeze the draft into the successor; on a
+    draft they insert in place, which is how ``corpus.load`` builds its
+    snapshot.
 
-    Beside the lexicon, a snapshot keeps ``_resolved``: the outcome of each
-    item resolved so far, an ``engine.ShiftResult`` or the failure's
-    exception type and message.  ``corpus.load`` resolves every noun item
-    when it builds a snapshot, and ``add_item`` and ``apply_formation``
-    carry the parent's outcomes forward as a copy.  That is sound because
-    an insert never changes an existing item's outcome: bases precede
-    derivatives, and rules, profiles and initials are fixed per snapshot.
-    ``engine.transfer`` adds entries on a miss, by idempotent writes, so the
-    map is the one writable table, and is left out of equality and repr.
+    Beside the lexicon, a snapshot keeps two private maps, left out of
+    equality and repr; ``engine.transfer`` adds entries on a miss, by
+    idempotent writes.
+
+    * ``_resolved``: the outcome of each item resolved so far, an
+      ``engine.ShiftResult`` or the failure's exception type and message.
+      ``corpus.load`` resolves every noun item when it builds a snapshot,
+      and ``add_item`` and ``apply_formation`` carry the parent's outcomes
+      forward as a copy.  That is sound because an insert never changes an
+      existing item's outcome: bases precede derivatives, and rules,
+      profiles and initials are fixed per snapshot.
+    * ``_steps``: the successful gradient steps met so far, by step key
+      (see ``engine._step``).  A step depends only on its key and on the
+      rules, profiles and initials, which every snapshot along a lineage
+      shares, so drafts and successors share this map itself, uncopied.
     """
 
     profiles: Mapping[str, LanguageProfile]
     initials: InitialTemplates
-    items: Mapping[str, Item] = field(default_factory=_no_entries)
-    edges: Mapping[str, EdgeSpec] = field(default_factory=_no_entries)
+    items: Mapping[str, Item] = field(default_factory=dict)
+    edges: Mapping[str, EdgeSpec] = field(default_factory=dict)
     superseded: FrozenSet[str] = frozenset()
-    strata: Mapping[str, int] = field(default_factory=_no_entries)
+    strata: Mapping[str, int] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
     rules: Optional[RuleRegistry] = None  # engine default when None
     # item id -> engine.ShiftResult or (exception type, message), filled by
     # engine.transfer; see the class docstring
     _resolved: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    # step key -> engine.ShiftResult, shared along a lineage; see the class docstring
+    _steps: Dict[tuple, object] = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("items", "edges", "strata", "profiles"):
+            table = getattr(self, name)
+            if type(table) is not MappingProxyType:
+                object.__setattr__(self, name, MappingProxyType(table))
+        if type(self.superseded) is not frozenset:
+            object.__setattr__(self, "superseded", frozenset(self.superseded))
+        if type(self.warnings) is not tuple:
+            object.__setattr__(self, "warnings", tuple(self.warnings))
 
     # -- queries ---------------------------------------------------------
 
@@ -272,7 +292,8 @@ class LexiconState:
         return Draft(
             profiles=self.profiles, initials=self.initials, items=self.items.copy(),
             edges=self.edges.copy(), superseded=self.superseded, strata=self.strata.copy(),
-            warnings=self.warnings, rules=self.rules, _resolved=self._resolved.copy())
+            warnings=self.warnings, rules=self.rules, _resolved=self._resolved.copy(),
+            _steps=self._steps)
 
     def derived_item(self, spec: EdgeSpec) -> Item:
         """The item ``spec`` would insert, checked against this snapshot.
@@ -341,7 +362,7 @@ def new_state(
     initials: InitialTemplates,
     rules: Optional[RuleRegistry] = None,
 ) -> LexiconState:
-    return LexiconState(profiles=MappingProxyType(dict(profiles)), initials=initials, rules=rules)
+    return LexiconState(profiles=dict(profiles), initials=initials, rules=rules)
 
 
 class Draft(LexiconState):
@@ -361,12 +382,14 @@ class Draft(LexiconState):
     # a draft is the builder, so unlike a snapshot it may rebind its attributes
     __setattr__ = object.__setattr__
 
+    def __post_init__(self) -> None:
+        pass  # a draft keeps the writable tables it is given
+
     def freeze(self) -> LexiconState:
         return LexiconState(
-            profiles=self.profiles, initials=self.initials, items=MappingProxyType(self.items),
-            edges=MappingProxyType(self.edges), superseded=frozenset(self.superseded),
-            strata=MappingProxyType(self.strata), warnings=tuple(self.warnings),
-            rules=self.rules, _resolved=self._resolved)
+            profiles=self.profiles, initials=self.initials, items=self.items, edges=self.edges,
+            superseded=self.superseded, strata=self.strata, warnings=self.warnings,
+            rules=self.rules, _resolved=self._resolved, _steps=self._steps)
 
     def _insert_item(self, item: Item) -> "Draft":
         if item.id in self.items:

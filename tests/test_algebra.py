@@ -20,18 +20,12 @@ def test_atom_shapes():
     assert algebra.is_category("N")
     assert algebra.base_of("+SG") == "SG"
     assert algebra.base_of("N") == "N"
-    assert algebra.polarity_of("-COL") == "-"
 
 
 @pytest.mark.parametrize("bad", ["", "+", "-", "+ SG", "N N"])
 def test_malformed_atoms_rejected(bad):
     with pytest.raises(algebra.AtomError):
         algebra.parse_atom(bad)
-
-
-def test_polarity_query_needs_a_sign():
-    with pytest.raises(algebra.AtomError):
-        algebra.polarity_of("N")
 
 
 def test_gender_shift_over_a_full_template_body():

@@ -21,7 +21,6 @@ from tbmc.engine import (
     ShiftError,
     TraceNode,
     apply_gradient,
-    chain_root,
     render_trace,
     shift_record,
     solve_operand,
@@ -387,7 +386,9 @@ def test_trace_path_versus_tree(fig2):
 
 def test_every_fig2_item_traces_to_a_stratum_zero_root(fig2):
     for item_id in fig2.items:
-        root = chain_root(fig2, item_id)
+        root = item_id
+        while root in fig2.edges and fig2.edges[root].base_id is not None:
+            root = fig2.edges[root].base_id
         assert fig2.strata[root] == 0
         assert root not in fig2.edges or fig2.edges[root].base_id is None
 
@@ -449,7 +450,7 @@ def test_cycle_detection_on_a_corrupted_state():
     with pytest.raises(ShiftError, match="cycle"):
         transfer(cyc, "a")
     with pytest.raises(ShiftError, match="cycle"):
-        chain_root(cyc, "a")
+        trace(cyc, "a")
 
 
 # -- resolutions: filled at load, carried forward, filled lazily ----------------
@@ -690,3 +691,114 @@ def test_a_what_if_may_start_from_a_superseded_base(example1):
     assert result.template == transfer(example1, "hexagone_1").template
     with pytest.raises(ValueError, match="is superseded"):
         example1.apply_formation(edge)
+
+
+# -- one gradient step per distinct step key -------------------------------------
+
+def _step_corpus_text(copies=3):
+    """Chains that mix the four processes, off noun heads, verb heads and
+    borrowings with a donor gender, with ``gradcond=R3``; ``copies`` chains of
+    each kind, so most steps repeat a step key, and pairs of steps whose keys
+    differ in one part only."""
+    lines = ["initial french.U = {N, +SG, -PL, -M, +F, -DEF, +COL}"]
+    for c in range(copies):
+        lines += [
+            f'item id=v{c} lang=riffian radical="fk"',
+            f'item id=h{c} lang=riffian radical="ka" cogset=C template={{N, +SG, -PL, +M, -F, -COL, +SING}}',
+            f'item id=g{c} lang=riffian radical="ga" cogset=U template={{N, +SG, -PL, -M, +F, +COL, -SING}}',
+            f"derive id=v{c}_1 base=v{c} via=CONV target=U",
+            f"derive id=v{c}_2 base=v{c}_1 via=CONV animate=true",
+            f'derive id=v{c}_3 base=v{c} via=MDERIV target=NA radical="afk"',
+            f"derive id=v{c}_r3 base=v{c} via=CONV target=U gradcond=R3",
+            f"derive id=v{c}_r3_1 base=v{c}_r3 via=CONV",
+            f'derive id=b{c}_m via=BORROW lang=riffian radical="br" target=U donor_gender=M',
+            f'derive id=b{c}_f via=BORROW lang=riffian radical="bf" target=U donor_gender=F',
+            f"derive id=b{c}_w base=b{c}_m via=WIDEN",
+            f'derive id=fb{c} via=BORROW lang=french radical="fr" target=U donor_gender=M',
+            f"derive id=h{c}_1 base=h{c} via=CONV",
+            f"derive id=h{c}_1a base=h{c} via=CONV animate=true",
+            f'derive id=h{c}_m base=h{c} via=MDERIV radical="hm"',
+            f'item id=k{c} lang=riffian radical="ka" cogset=NA template={{N, +SG, -PL, +M, -F, -COL, +SING}}',
+            f'derive id=k{c}_m base=k{c} via=MDERIV radical="km"',
+            f"derive id=h{c}_2 base=h{c}_1 via=CONV animate=true",
+            f"derive id=h{c}_3 base=h{c}_2 via=CONV gradcond=R3",
+            f"derive id=h{c}_4 base=h{c}_3 via=WIDEN",
+            f'derive id=h{c}_5 base=h{c}_4 via=MDERIV target=NA radical="kb"',
+            f"derive id=h{c}_6 base=h{c}_5 via=CONV target=U",
+            f"derive id=g{c}_1 base=g{c} via=CONV target=C",
+            f"derive id=g{c}_2 base=g{c}_1 via=CONV gradcond=R3",
+            f"derive id=g{c}_3 base=g{c}_2 via=CONV target=V",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _outcome_of_call(call):
+    try:
+        return _key(call())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_each_step_equals_the_gradient_map_of_its_record(fig2, example1, table3):
+    written = corpus.load(corpus.parse(_step_corpus_text()))
+    assert not written.errors
+    for state in (fig2, example1, table3, written.state):
+        rules = state.rules if state.rules is not None else DEFAULT_RULES
+        for item_id in [i for i in state.edges if state.items[i].category != "V"]:
+            profile = state.profile_for(state.items[item_id])
+            expected = _outcome_of_call(lambda: apply_gradient(
+                shift_record(state, item_id), profile, state.initials, rules))
+            assert _outcome_of_call(lambda: transfer(state, item_id)) == expected, item_id
+    state = written.state
+    steps = [i for i in state.edges
+             if state.items[i].category != "V" and state.edges[i].base_id is not None]
+    assert 0 < len(state._steps) < len(steps) / 2  # most steps repeat a key
+
+
+def test_derives_that_share_a_step_key_run_one_gradient_step(monkeypatch):
+    calls = []
+    gradient = engine.apply_gradient
+
+    def counted(record, *args):
+        calls.append(record)
+        return gradient(record, *args)
+
+    monkeypatch.setattr(engine, "apply_gradient", counted)
+    template = "template={N, +SG, -PL, +M, -F, -COL, +SING}"
+    lines = [f'item id=h lang=riffian radical="ka" cogset=C {template}']
+    lines += [f"derive id=w{k} base={f'w{k - 1}' if k > 1 else 'h'} via=WIDEN" for k in range(1, 7)]
+    lines += [f'item id=c{k} lang=riffian radical="ka" cogset=C {template}' for k in range(5)]
+    lines += [f"derive id=c{k}_1 base=c{k} via=CONV" for k in range(5)]
+    state = corpus.load(corpus.parse("\n".join(lines))).state
+    assert [(r.process, r.base_id) for r in calls] == [
+        (Formation.WIDENING, "h"), (Formation.CONVERSION, "c0")]
+    widened = [transfer(state, f"w{k}") for k in range(1, 7)]
+    assert [(r.rule_id, r.stratum) for r in widened] == [("R2", k) for k in range(1, 7)]
+    assert len({id(r) for r in widened}) == 6  # each item its own result
+    assert len({id(r.template) for r in widened}) == 1
+    converted = [transfer(state, f"c{k}_1") for k in range(5)]
+    assert {(r.rule_id, r.stratum, r.template.render()) for r in converted} == {
+        ("R1", 1, "{N, +SG, -PL, -M, +F, -COL, +SING}")}
+    assert len({id(r.operand) for r in converted}) == 1
+    # a transition's successor shares the memo, so its new step is a lookup too
+    successor = state.apply_formation(EdgeSpec(
+        derived_id="c0_2", process=Formation.WIDENING, base_id="c0_1"))
+    assert successor._steps is state._steps
+    before = len(calls)
+    assert transfer(successor, "c0_2").stratum == 2
+    assert len(calls) == before + 1
+    assert transfer(successor.apply_formation(EdgeSpec(
+        derived_id="c1_2", process=Formation.WIDENING, base_id="c1_1")), "c1_2").stratum == 2
+    assert len(calls) == before + 1
+
+
+def test_a_failing_step_is_not_stored_and_names_its_own_base():
+    lines = [f'item id=v{k} lang=riffian radical="fk{k}"' for k in range(2)]
+    lines += [f"derive id=d{k} base=v{k} via=CONV target=U gradcond=R3" for k in range(2)]
+    state = corpus.load(corpus.parse("\n".join(lines))).state
+    for k in range(2):
+        for _ in range(2):
+            with pytest.raises(ShiftError) as raised:
+                transfer(state, f"d{k}")
+            assert str(raised.value) == f"rule R3 needs a base template, but {{CONV, —, U, v{k}}} has none"
+    assert state._steps == {}

@@ -7,6 +7,7 @@ from tbmc.lexicon import (
     Formation,
     Item,
     LexiconError,
+    LexiconState,
     new_state,
 )
 from tbmc.templates import RIFFIAN, default_initials, make_template
@@ -230,6 +231,9 @@ def test_live_count_ledger():
 def _snapshot(how, fig2):
     if how == "new_state":
         return riffian_state()
+    if how == "constructor":
+        return LexiconState(profiles={"riffian": RIFFIAN}, initials=default_initials(),
+                            items={"w0": head(0)}, edges={}, strata={"w0": 0})
     if how == "loaded":
         return fig2
     if how == "add_item":
@@ -237,7 +241,7 @@ def _snapshot(how, fig2):
     return five_item_state().apply_formation(conv("d1", "w0"))
 
 
-@pytest.mark.parametrize("how", ["new_state", "loaded", "add_item", "apply_formation"])
+@pytest.mark.parametrize("how", ["new_state", "constructor", "loaded", "add_item", "apply_formation"])
 @pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles"])
 def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
     view = getattr(_snapshot(how, fig2), table)
@@ -247,3 +251,10 @@ def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
         with pytest.raises(TypeError):
             del view[key]
 
+
+
+def test_the_constructor_freezes_what_it_is_given():
+    state = LexiconState(profiles={"riffian": RIFFIAN}, initials=default_initials(),
+                         items={"w0": head(0)}, superseded={"w0"}, warnings=["w"])
+    assert type(state.superseded) is frozenset and state.warnings == ("w",)
+    assert state.draft().freeze() == state

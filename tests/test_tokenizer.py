@@ -124,7 +124,10 @@ def test_prescan_ids_matches_the_reference(lines):
 def test_lines_named_in_the_tokenizer_contract():
     for text in ('id=a gloss="x # y" template={N, #} # tail',
                  "id= key=", "id=", 'gloss="open', "template={N, +SG", "slots=[A|B",
-                 "id=a\xa0lang=b", "id=a　lang=b", "id=a\x1clang=b", "ke y=v", "\xa0\x1c"):
+                 "id=a\xa0lang=b", "id=a　lang=b", "id=a\x1clang=b", "ke y=v", "\xa0\x1c",
+                 # each branch of the field pattern and each issue it leaves to report
+                 "k= v", "k=\xa0v", "=v", "k=", 'k="a"b=c', 'k={a "b"}', 'k="{"', "k=[A|B",
+                 'k="open', "k=v=w", "k=[A] x", "k={a}}"):
         assert corpus._strip_comment(text) == _strip_comment_reference(text)
         new: List[ParseIssue] = []
         old: List[ParseIssue] = []
