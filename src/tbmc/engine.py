@@ -519,75 +519,75 @@ def _chain(state: LexiconState, item_id: str) -> List[str]:
         path.append(edge.base_id)
 
 
-def _node(state: LexiconState, item_id: str, children: Tuple[TraceNode, ...]) -> TraceNode:
-    item = state.item(item_id)
-    edge = state.edges.get(item_id)
-    if item.category == VERB:
-        rule_id, template = None, None
-    else:
-        result = transfer(state, item_id)
-        rule_id, template = result.rule_id, result.template
-    return TraceNode(
-        item_id=item_id,
-        process=edge.process if edge else None,
-        rule_id=rule_id,
-        template=template,
-        stratum=state.strata[item_id],
-        gloss=item.gloss,
-        superseded=not state.is_live(item_id),
-        children=children,
-    )
-
-
 def trace(state: LexiconState, item_id: str) -> TraceNode:
     """The phylotemplatic tree rooted at an item's input head.
 
     Called on a head, the result spans all of its descendants; called on a
-    derived item, it is the single path from the head down to that item.
-    Children are ordered by id, so rendering is deterministic.
+    derived item, it is the single path from the head down to that item,
+    built item first.  Children are ordered by id.  The chain is walked
+    before any node is built, so a cycle raises first.  Each node reads its
+    resolution from the snapshot's map, calling ``transfer`` only on a miss
+    or a stored failure, so a loaded snapshot traces at constant cost per node.
     """
     path = _chain(state, item_id)
-    root = path[-1]
-    if root == item_id:
-        derived_of = {}
-        for did, edge in state.edges.items():
-            if edge.base_id is not None:
-                derived_of.setdefault(edge.base_id, []).append(did)
+    items, edges, strata = state.items, state.edges, state.strata
+    resolved, superseded = state._resolved, state.superseded
 
-        # post-order over an explicit stack, first child first, so a tree
-        # of any depth builds, and nodes are made in the recursive order
-        built: Dict[str, TraceNode] = {}
-        stack: List[Tuple[str, Optional[List[str]]]] = [(root, None)]
-        while stack:
-            current, kids = stack.pop()
-            if kids is None:
-                kids = sorted(derived_of.get(current, []))
-                stack.append((current, kids))
-                stack.extend((k, None) for k in reversed(kids))
-            else:
-                built[current] = _node(state, current, tuple(built.pop(k) for k in kids))
-        return built[root]
-    node: Optional[TraceNode] = None
-    for current in path:
-        node = _node(state, current, (node,) if node else ())
-    return node
+    def node(current: str, children: Tuple[TraceNode, ...]) -> TraceNode:
+        item = items.get(current) or state.item(current)  # the latter raises on an unknown id
+        edge = edges.get(current)
+        if item.category == VERB:
+            rule_id = template = None
+        else:
+            result = resolved.get(current)
+            if type(result) is not ShiftResult:
+                result = transfer(state, current)
+            rule_id, template = result.rule_id, result.template
+        return TraceNode(current, edge.process if edge else None, rule_id, template,
+                         strata[current], item.gloss, current in superseded, children)
+
+    root = path[-1]
+    if root != item_id:
+        built: Optional[TraceNode] = None
+        for current in path:
+            built = node(current, (built,) if built else ())
+        return built
+    derived_of = {}
+    for did, edge in edges.items():
+        if edge.base_id is not None:
+            derived_of.setdefault(edge.base_id, []).append(did)
+    # post-order over an explicit stack, first child first, so a tree of any
+    # depth builds, and nodes are made in the recursive order
+    done: Dict[str, TraceNode] = {}
+    stack: List[Tuple[str, Optional[List[str]]]] = [(root, None)]
+    while stack:
+        current, kids = stack.pop()
+        if kids is None:
+            kids = sorted(derived_of.get(current, []))
+            stack.append((current, kids))
+            stack.extend((k, None) for k in reversed(kids))
+        else:
+            done[current] = node(current, tuple(done.pop(k) for k in kids))
+    return done[root]
 
 
 def render_trace(node: TraceNode, indent: int = 0) -> str:
     """One line per node in depth-first order, children indented two spaces.
 
     Rendered iteratively over an explicit stack and joined once, so the
-    depth of a tree is not limited by the Python stack and the cost is
-    linear in the number of nodes.
+    depth of a tree is not limited by the Python stack.  A node costs one
+    template lookup and one line; the step reads the member's ``_value_``,
+    which skips the slower ``Enum.value`` descriptor.
     """
     lines: List[str] = []
     stack = [(node, indent)]
     while stack:
         node, depth = stack.pop()
         shown = node.template.render() if node.template else "(no template)"
-        step = "head" if node.process is None else f"{node.process.value} {node.rule_id or '-'}"
+        step = "head" if node.process is None else f"{node.process._value_} {node.rule_id or '-'}"
         mark = " superseded" if node.superseded else ""
         gloss = f" '{node.gloss}'" if node.gloss else ""
         lines.append(f"{'  ' * depth}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        for child in reversed(node.children):
+            stack.append((child, depth + 1))
     return "\n".join(lines)

@@ -52,10 +52,6 @@ class Formation(enum.Enum):
     DERIVATION = "MDERIV"
     WIDENING = "WIDEN"
 
-    @property
-    def adds_live_item(self) -> bool:
-        return self is not Formation.WIDENING
-
 
 _FORMATIONS: Dict[str, Formation] = {formation.value: formation for formation in Formation}
 
@@ -185,9 +181,10 @@ class LexiconState:
     draft they insert in place, which is how ``corpus.load`` builds its
     snapshot.
 
-    Beside the lexicon, a snapshot keeps two private maps, left out of
-    equality and repr; ``engine.transfer`` adds entries on a miss, by
-    idempotent writes.
+    Beside the lexicon, a snapshot keeps two private maps, left out of the
+    constructor, equality and repr, so ``dataclasses.replace`` starts both
+    empty; only ``draft`` and ``freeze`` hand them on.  ``engine.transfer``
+    adds entries on a miss, by idempotent writes.
 
     * ``_resolved``: the outcome of each item resolved so far, an
       ``engine.ShiftResult`` or the failure's exception type and message.
@@ -212,9 +209,9 @@ class LexiconState:
     rules: Optional[RuleRegistry] = None  # engine default when None
     # item id -> engine.ShiftResult or (exception type, message), filled by
     # engine.transfer; see the class docstring
-    _resolved: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    _resolved: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
     # step key -> engine.ShiftResult, shared along a lineage; see the class docstring
-    _steps: Dict[tuple, object] = field(default_factory=dict, repr=False, compare=False)
+    _steps: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("items", "edges", "strata", "profiles"):
@@ -289,11 +286,12 @@ class LexiconState:
 
     def draft(self) -> "Draft":
         """A private builder holding copies of this snapshot's tables; see :class:`Draft`."""
-        return Draft(
+        draft = Draft(
             profiles=self.profiles, initials=self.initials, items=self.items.copy(),
             edges=self.edges.copy(), superseded=self.superseded, strata=self.strata.copy(),
-            warnings=self.warnings, rules=self.rules, _resolved=self._resolved.copy(),
-            _steps=self._steps)
+            warnings=self.warnings, rules=self.rules)
+        draft._resolved, draft._steps = self._resolved.copy(), self._steps
+        return draft
 
     def derived_item(self, spec: EdgeSpec) -> Item:
         """The item ``spec`` would insert, checked against this snapshot.
@@ -386,10 +384,12 @@ class Draft(LexiconState):
         pass  # a draft keeps the writable tables it is given
 
     def freeze(self) -> LexiconState:
-        return LexiconState(
+        state = LexiconState(
             profiles=self.profiles, initials=self.initials, items=self.items, edges=self.edges,
-            superseded=self.superseded, strata=self.strata, warnings=self.warnings,
-            rules=self.rules, _resolved=self._resolved, _steps=self._steps)
+            superseded=self.superseded, strata=self.strata, warnings=self.warnings, rules=self.rules)
+        object.__setattr__(state, "_resolved", self._resolved)
+        object.__setattr__(state, "_steps", self._steps)
+        return state
 
     def _insert_item(self, item: Item) -> "Draft":
         if item.id in self.items:

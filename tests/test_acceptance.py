@@ -218,7 +218,7 @@ def test_criterion_7_properties(fig2):
             donor_gender=rng.choice(["M", "F"]) if process is Formation.BORROWING else None,
         )
         after = state.apply_formation(spec)
-        assert after.live_count - state.live_count == (1 if spec.process.adds_live_item else 0)
+        assert after.live_count - state.live_count == (1 if spec.process is not Formation.WIDENING else 0)
         resolved = transfer(after, spec.derived_id).template
         assert not resolved.violations()
         if process is Formation.WIDENING:

@@ -3,10 +3,12 @@
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from tbmc import algebra, corpus, engine
+from tbmc.corpora import fixture_path
 from tbmc.engine import (
     Clause,
     DEFAULT_RULES,
@@ -33,6 +35,7 @@ from tbmc.lexicon import (
     EdgeSpec,
     Formation,
     Item,
+    LexiconError,
     LexiconState,
     ShiftRecord,
     new_state,
@@ -430,8 +433,9 @@ def test_rendering_a_5000_deep_path_needs_no_recursion():
 
 
 def test_unknown_item_errors(fig2):
-    with pytest.raises(ValueError, match="unknown item"):
+    with pytest.raises(LexiconError) as raised:
         trace(fig2, "nope")
+    assert str(raised.value) == "unknown item 'nope'"
 
 
 def test_cycle_detection_on_a_corrupted_state():
@@ -447,10 +451,13 @@ def test_cycle_detection_on_a_corrupted_state():
         },
         strata={"a": 0, "b": 1},
     )
+    for item_id in ("a", "b"):
+        with pytest.raises(ShiftError) as raised:
+            trace(cyc, item_id)
+        assert str(raised.value) == f"cycle detected while tracing {item_id!r}"
+    assert cyc._resolved == {}  # trace walks the chain before anything resolves
     with pytest.raises(ShiftError, match="cycle"):
         transfer(cyc, "a")
-    with pytest.raises(ShiftError, match="cycle"):
-        trace(cyc, "a")
 
 
 # -- resolutions: filled at load, carried forward, filled lazily ----------------
@@ -802,3 +809,220 @@ def test_a_failing_step_is_not_stored_and_names_its_own_base():
                 transfer(state, f"d{k}")
             assert str(raised.value) == f"rule R3 needs a base template, but {{CONV, —, U, v{k}}} has none"
     assert state._steps == {}
+
+
+# -- a snapshot made by dataclasses.replace resolves afresh -----------------------
+
+_KAB_TEXT = """\
+profile kab category=N slots=[SG|PL, M|F, COL|SING]
+initial kab.C = {N, +SG, -PL, -M, +F, -COL, +SING}
+initial kab.U = {N, +SG, -PL, -M, +F, +COL, -SING}
+item id=v lang=kab radical="fk"
+derive id=a base=v via=CONV target=C
+derive id=a1 base=a via=CONV
+derive id=a2 base=a1 via=CONV gradcond=R3
+derive id=b via=BORROW lang=kab radical="br" target=U donor_gender=M
+derive id=b1 base=b via=CONV target=C
+"""
+
+
+def _answers(state):
+    return {i: _outcome_of(state, i) for i, item in state.items.items() if item.category != "V"}
+
+
+def test_a_replaced_snapshot_answers_like_a_fresh_load():
+    with open(fixture_path("riffian_fig2"), encoding="utf-8") as handle:
+        fig2_text = handle.read()
+    r4_only = RuleRegistry((DEFAULT_RULES.by_id("R4"),))
+    # riffian.C takes the NA initial; the kab profile lists its slots in another order
+    other_initial = fig2_text.replace("initial riffian.C = {N, +SG, -PL, -M, +F, -COL, +SING}",
+                                      "initial riffian.C = {N, +SG, -PL, +M, -F, -COL, +SING}")
+    other_slots = _KAB_TEXT.replace("slots=[SG|PL, M|F, COL|SING]", "slots=[M|F, SG|PL, COL|SING]")
+    assert other_initial != fig2_text and other_slots != _KAB_TEXT
+    cases = [
+        (fig2_text, "rules", corpus.load(corpus.parse(fig2_text), rules=r4_only).state),
+        (fig2_text, "initials", corpus.load(corpus.parse(other_initial)).state),
+        (_KAB_TEXT, "profiles", corpus.load(corpus.parse(other_slots)).state),
+    ]
+    for text, name, fresh in cases:
+        parent = corpus.load(corpus.parse(text)).state
+        before = _answers(parent)
+        replaced = replace(parent, **{name: getattr(fresh, name)})
+        assert replaced._resolved == {} and replaced._steps == {}, name
+        assert _answers(replaced) == _answers(fresh) != before, name
+        assert _answers(parent) == before, name
+    with pytest.raises(NoRuleError, match="no gradient rule triggers on"):
+        transfer(replace(corpus.load(corpus.parse(fig2_text)).state, rules=r4_only), "samer_2")
+
+
+# -- traces against a reference built from public calls ----------------------------
+
+def _flat(node):
+    """A tree's nodes as rows in depth-first order, walked without recursion
+    and without ``TraceNode.__eq__``, which recurses."""
+    rows, stack = [], [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        rows.append((depth, node.item_id, node.process, node.rule_id, node.template,
+                     node.stratum, node.gloss, node.superseded, len(node.children)))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return rows
+
+
+def _reference_rows(state, item_id):
+    """The rows ``trace`` should give, from ``state.item``, ``transfer``,
+    ``state.is_live``, ``state.strata`` and ``state.edges`` alone."""
+    state.item(item_id)
+    path = [item_id]
+    while state.edges.get(path[-1]) is not None and state.edges[path[-1]].base_id is not None:
+        path.append(state.edges[path[-1]].base_id)
+    if len(path) > 1:  # a derived item: the path from its head
+        children = {base: [derived] for derived, base in zip(path, path[1:])}
+    else:  # a head: all of its descendants
+        children = {}
+        for derived, edge in state.edges.items():
+            if edge.base_id is not None:
+                children.setdefault(edge.base_id, []).append(derived)
+    rows, stack = [], [(path[-1], 0)]
+    while stack:
+        current, depth = stack.pop()
+        item, edge = state.item(current), state.edges.get(current)
+        rule_id = template = None
+        if item.category != "V":
+            result = transfer(state, current)
+            rule_id, template = result.rule_id, result.template
+        kids = sorted(children.get(current, []))
+        rows.append((depth, current, edge.process if edge else None, rule_id, template,
+                     state.strata[current], item.gloss, not state.is_live(current), len(kids)))
+        stack.extend((kid, depth + 1) for kid in reversed(kids))
+    return rows
+
+
+def _first_difference(rows, expected):
+    """The first row that differs, or None; a failing assert then shows one
+    row, not a diff of hundreds."""
+    for k, (row, want) in enumerate(zip(rows, expected)):
+        if row != want:
+            return k, row, want
+    return None if len(rows) == len(expected) else (len(rows), len(expected))
+
+
+def _assert_traces_match(state, item_ids, reference=None):
+    """``trace`` on ``state`` agrees with the reference rows of ``reference``
+    (``state`` itself by default); each trace runs before its reference, so
+    on a cold snapshot the trace does the resolving."""
+    for item_id in item_ids:
+        tree = trace(state, item_id)
+        rows = _flat(tree)
+        assert _first_difference(rows, _reference_rows(reference or state, item_id)) is None, item_id
+        if max(row[0] for row in rows) < 100:  # the recursive reference's own depth limit
+            assert render_trace(tree) == _render_trace_recursively(tree), item_id
+
+
+def test_trace_agrees_with_a_reference_from_public_calls(fig2, example1, table3):
+    for state in (fig2, example1, table3):
+        ids = list(state.items)
+        _assert_traces_match(state, ids)
+        _assert_traces_match(_by_transitions(state), ids[::-1], reference=state)
+    deep = _deep_state()
+    heads = [i for i in deep.items if deep.edges.get(i) is None or deep.edges[i].base_id is None]
+    tips = [f"h{c}_400" for c in range(3)]
+    sample = heads + tips + list(deep.items)[::25]
+    _assert_traces_match(deep, sample)
+    _assert_traces_match(_by_transitions(deep), tips + sample, reference=deep)
+
+
+def test_trace_shows_superseded_bases_and_verb_heads(fig2):
+    widened = fig2.apply_formation(EdgeSpec(
+        derived_id="probe", process=Formation.WIDENING, base_id="sendu_2", gloss="more"))
+    _assert_traces_match(widened, ["probe", "sendu_v"])
+    lines = render_trace(trace(widened, "probe")).split("\n")
+    assert lines[0].startswith("sendu_v  [head, stratum 0]  (no template)")
+    assert lines[2].startswith("    sendu_2  [CONV R1, stratum 2 superseded]")
+    assert lines[3].startswith("      probe  [WIDEN R2, stratum 3]")
+    assert not any("superseded" in line for line in render_trace(trace(fig2, "sendu_2")).split("\n"))
+
+
+def _failing_chain():
+    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
+                                template=NA_INITIAL))
+    for edge in (
+        EdgeSpec(derived_id="f1", process=Formation.DERIVATION, base_id="h", target="ZZ"),
+        EdgeSpec(derived_id="f2", process=Formation.CONVERSION, base_id="f1"),
+        EdgeSpec(derived_id="f3", process=Formation.DERIVATION, base_id="f2", target="C"),
+    ):
+        state = state.apply_formation(edge)
+    return state
+
+
+def _traced(state, item_id):
+    try:
+        return render_trace(trace(state, item_id))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_tracing_a_failing_chain_raises_what_transfer_raises():
+    warm = _failing_chain()
+    failure = _outcome_of(warm, "f3")
+    assert failure == (InitialTemplateError, "no initial template for cognitive set 'ZZ' in 'riffian'")
+    for item_id in ("f1", "f2", "f3", "h"):
+        cold = _failing_chain()
+        assert _traced(cold, item_id) == failure, item_id  # the trace does the resolving
+        assert _traced(warm, item_id) == failure, item_id
+        assert _outcome_of(cold, item_id) == _outcome_of(warm, item_id)
+
+
+def test_tracing_a_loaded_snapshot_runs_no_gradient_step(fig2, example1, table3, monkeypatch):
+    deep = _deep_state()
+    calls = []
+    gradient = engine.apply_gradient
+    monkeypatch.setattr(engine, "apply_gradient", lambda *args: calls.append(args) or gradient(*args))
+    for state in (fig2, example1, table3):
+        for item_id in state.items:
+            render_trace(trace(state, item_id))
+    for item_id in [i for i in deep.items if i not in deep.edges] + ["h0_400", "b_1"]:
+        render_trace(trace(deep, item_id))
+    assert calls == []
+
+
+def test_concurrent_tracers_of_one_cold_snapshot_agree():
+    def build():
+        state = _by_transitions(corpus.load(corpus.parse(_deep_corpus_text(depth=30, chains=2))).state)
+        state = state.add_item(Item(id="f", language="riffian", radical="ka", cogset="C"))
+        for k in range(1, 6):  # a failing chain: a head without a template
+            state = state.apply_formation(EdgeSpec(
+                derived_id=f"f_{k}", process=Formation.CONVERSION, base_id=f"f_{k - 1}" if k > 1 else "f"))
+        return state
+
+    expected = {i: _traced(build(), i) for i in build().items}
+    ids = list(expected)
+    assert sum(type(text) is tuple for text in expected.values()) == 6
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            state = build()  # cold: nothing resolved yet
+            start = threading.Barrier(4)
+            failures, results = [], []
+
+            def read(order):
+                start.wait()
+                try:
+                    results.append({i: _traced(state, i) for i in order})
+                except Exception as exc:  # a false cycle or any other error
+                    failures.append(exc)
+
+            orders = [ids, ids[::-1], ids[1::2] + ids[::2], sorted(ids)]
+            threads = [threading.Thread(target=read, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
+

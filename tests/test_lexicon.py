@@ -223,7 +223,7 @@ def test_live_count_ledger():
         EdgeSpec(derived_id="d5", process=Formation.WIDENING, base_id="d1", target="C"),
     ]
     state = replay(five_item_state(), specs)
-    additions = sum(1 for s in specs if s.process.adds_live_item)
+    additions = sum(1 for s in specs if s.process is not Formation.WIDENING)
     assert state.live_count == 5 + additions
     assert len(state.items) == 5 + len(specs)
 

@@ -90,7 +90,7 @@ def test_subset_enumeration_is_binary_ordered():
 def verify_ledger_step(before, edge, after):
     """Live-count delta of one applied edge matches its process kind:
     +1 for conversion, derivation and borrowing; 0 for widening."""
-    expected = 1 if edge.process.adds_live_item else 0
+    expected = 1 if edge.process is not Formation.WIDENING else 0
     actual = after.live_count - before.live_count
     if actual != expected:
         return VerificationResult(
@@ -111,7 +111,7 @@ def verify_ledger_replay(initial, specs):
         if not step.passed:
             return VerificationResult("ledger-replay", False, checks, step.counterexample)
         state = nxt
-    additions = sum(1 for s in specs if s.process.adds_live_item)
+    additions = sum(1 for s in specs if s.process is not Formation.WIDENING)
     checks += 1
     if state.live_count != initial.live_count + additions:
         return VerificationResult(
