@@ -124,7 +124,7 @@ def _surface_for(item: Item, result: ShiftResult):
     from . import realizer
 
     # a resolved item is a noun: transfer and apply_gradient reject verbs
-    if item.language != realizer.DEFAULT_INVENTORY.language:
+    if item.language != realizer.LANGUAGE:
         return None
     return realizer.realize(item, result.template)
 
@@ -245,9 +245,9 @@ def cmd_estimate(args) -> int:
         unfiltered_sets=frozenset(args.unfiltered.split(",")) if args.unfiltered else
         estimator.DEFAULT_FILTER.unfiltered_sets,
     )
-    report = estimator.estimate_initial_templates(state, filt)
+    estimates = estimator.estimate_initial_templates(state, filt)
     if args.format == "records":
-        for est in report.estimates:
+        for est in estimates:
             print(_record([
                 ("cogset", est.cogset), ("status", est.status.replace(" ", "-")),
                 ("sample", est.sample_size),
@@ -256,7 +256,7 @@ def cmd_estimate(args) -> int:
             for key, count in est.histogram:
                 print(_record([("cogset", est.cogset), ("template", key), ("count", count)]))
     else:
-        print(estimator.render_report(report))
+        print(estimator.render_report(estimates))
     return OK
 
 

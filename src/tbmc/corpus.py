@@ -609,16 +609,11 @@ def _parse_derive(
 
 @dataclass
 class LoadResult:
-    """A loaded corpus: its lexicon snapshot, the document it came from, and
-    one ``line N: ...`` message per statement that ``load`` rejected."""
+    """A loaded corpus: its lexicon snapshot and one ``line N: ...`` message
+    per statement that ``load`` rejected."""
 
     state: LexiconState
-    document: CorpusDocument
     errors: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors and self.document.ok
 
 
 def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
@@ -675,7 +670,7 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
                 engine.transfer(state, item_id)
             except ValueError:
                 pass  # the snapshot keeps the failure for validate and the CLI
-    return LoadResult(state=state, document=document, errors=errors)
+    return LoadResult(state=state, errors=errors)
 
 
 def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
@@ -801,8 +796,7 @@ def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = No
         ))
 
     if not errors:
-        audit = realizer.realization_audit(state)
-        for entry in audit.entries:
+        for entry in realizer.realization_audit(state):
             rows.append(CheckRow(
                 kind="surface",
                 item_id=entry.item_id,

@@ -26,20 +26,31 @@ class EstimationError(ValueError):
     pass
 
 
+FLAGS = ("recent_loan", "typical", "common")
+
+
 @dataclass(frozen=True)
 class EstimationFilter:
-    """Which corpus flags admit an item into the tally."""
+    """Which corpus flags admit an item into the tally.
+
+    Every flag name is checked on construction, whatever the corpus holds.
+    """
 
     require_any: FrozenSet[str] = frozenset({"recent_loan", "typical"})
     exclude: FrozenSet[str] = frozenset({"common"})
     unfiltered_sets: FrozenSet[str] = frozenset({"NA"})
 
+    def __post_init__(self) -> None:
+        for name in (*sorted(self.exclude), *sorted(self.require_any)):
+            if name not in FLAGS:
+                raise EstimationError(f"unknown corpus flag {name!r}")
+
     def admits(self, item: Item) -> bool:
         if item.cogset in self.unfiltered_sets:
             return True
-        if any(item.flag(name) for name in sorted(self.exclude)):
+        if any(getattr(item, name) for name in self.exclude):
             return False
-        return any(item.flag(name) for name in sorted(self.require_any))
+        return any(getattr(item, name) for name in self.require_any)
 
 
 DEFAULT_FILTER = EstimationFilter()
@@ -71,25 +82,10 @@ class SetEstimate:
         return "ok"
 
 
-@dataclass(frozen=True)
-class EstimationReport:
-    """The estimates of every cognitive set with live items, in sorted order,
-    and the filter they were tallied under."""
-
-    filter: EstimationFilter
-    estimates: Tuple[SetEstimate, ...]
-
-    def for_set(self, cogset: str) -> SetEstimate:
-        for est in self.estimates:
-            if est.cogset == cogset:
-                return est
-        raise EstimationError(f"no live items in cognitive set {cogset!r}")
-
-
 def estimate_initial_templates(
     state: LexiconState,
     filt: EstimationFilter = DEFAULT_FILTER,
-) -> EstimationReport:
+) -> Tuple[SetEstimate, ...]:
     """Mode template per cognitive set over the filtered live lexicon.
 
     Deterministic: items are grouped in sorted-id order and histograms are
@@ -123,13 +119,13 @@ def estimate_initial_templates(
         else:
             winner = rendered_to_template[tied[0]]
             estimates.append(SetEstimate(cogset, winner, histogram, admitted, tie=False, insufficient=False))
-    return EstimationReport(filter=filt, estimates=tuple(estimates))
+    return tuple(estimates)
 
 
-def render_report(report: EstimationReport) -> str:
+def render_report(estimates: Tuple[SetEstimate, ...]) -> str:
     """The deterministic text table used by the command line."""
     lines: List[str] = []
-    for est in report.estimates:
+    for est in estimates:
         lines.append(f"cognitive set {est.cogset}: sample size {est.sample_size}")
         if est.insufficient:
             lines.append(f"  {est.status}")

@@ -92,11 +92,6 @@ class Item:
     fem_prefix: bool = True
     fem_suffix: bool = True
 
-    def flag(self, name: str) -> bool:
-        if name not in ("recent_loan", "typical", "common"):
-            raise LexiconError(f"unknown corpus flag {name!r}")
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class EdgeSpec:

@@ -51,30 +51,18 @@ def comparable_surface(text: str) -> str:
     return normalize_phonetic(text).replace("-", "")
 
 
-@dataclass(frozen=True)
-class MarkerInventory:
-    """Exponents and the phonological contexts that pick their allomorphs."""
-
-    language: str = "riffian"
-    fem_prefix: str = "ð"
-    fem_prefix_voiceless: str = "t"
-    fem_suffix: str = "t"
-    fem_suffix_postvocalic: str = "θ"
-    sing_prefix_singular: str = "a"
-    sing_prefix_plural: str = "i"
-    plural_suffix_masc: str = "en"
-    plural_suffix_fem: str = "in"
-    voiceless: Tuple[str, ...] = ("ts", "tʃ", "t", "θ", "f", "s", "ʃ", "k", "q", "ħ", "χ")
-    vowels_and_glides: Tuple[str, ...] = ("a", "e", "i", "o", "u", "w", "j")
-
-    def starts_voiceless(self, segment: str) -> bool:
-        return any(segment.startswith(v) for v in sorted(self.voiceless, key=len, reverse=True))
-
-    def ends_vocalic(self, segment: str) -> bool:
-        return segment.endswith(self.vowels_and_glides)
-
-
-DEFAULT_INVENTORY = MarkerInventory()
+# Riffian exponents and the phonological contexts that pick their allomorphs.
+LANGUAGE = "riffian"
+FEM_PREFIX = "ð"
+FEM_PREFIX_VOICELESS = "t"
+FEM_SUFFIX = "t"
+FEM_SUFFIX_POSTVOCALIC = "θ"
+SING_PREFIX_SINGULAR = "a"
+SING_PREFIX_PLURAL = "i"
+PLURAL_SUFFIX_MASC = "en"
+PLURAL_SUFFIX_FEM = "in"
+VOICELESS = ("ts", "tʃ", "t", "θ", "f", "s", "ʃ", "k", "q", "ħ", "χ")
+VOWELS_AND_GLIDES = ("a", "e", "i", "o", "u", "w", "j")
 
 
 @dataclass(frozen=True)
@@ -95,23 +83,17 @@ class SurfaceForm:
         return comparable_surface(self.joined) == comparable_surface(expected)
 
 
-def realize(
-    item: Item,
-    template: Template,
-    inventory: MarkerInventory = DEFAULT_INVENTORY,
-) -> SurfaceForm:
+def realize(item: Item, template: Template) -> SurfaceForm:
     """Spell out one item under one template.
 
     A per-item surface override is returned verbatim (marked as such);
-    otherwise the marker inventory assembles prefix block, radical and
+    otherwise the Riffian exponents assemble prefix block, radical and
     suffix block.
     """
     if item.category == VERB:
         raise RealizeError(f"item {item.id}: verbs are not realized")
-    if template.profile.language != inventory.language:
-        raise RealizeError(
-            f"inventory covers {inventory.language!r}, template is {template.profile.language!r}"
-        )
+    if template.profile.language != LANGUAGE:
+        raise RealizeError(f"exponents cover {LANGUAGE!r}, template is {template.profile.language!r}")
     problems = template.violations()
     if problems:
         raise RealizeError("cannot realize ill-formed template: " + "; ".join(problems))
@@ -132,27 +114,19 @@ def realize(
 
     count_prefix = ""
     if singulative:
-        count_prefix = inventory.sing_prefix_plural if plural else inventory.sing_prefix_singular
+        count_prefix = SING_PREFIX_PLURAL if plural else SING_PREFIX_SINGULAR
 
     fem_prefix = ""
     if feminine and item.fem_prefix:
         following = count_prefix or radical
-        fem_prefix = (
-            inventory.fem_prefix_voiceless
-            if inventory.starts_voiceless(following)
-            else inventory.fem_prefix
-        )
+        fem_prefix = FEM_PREFIX_VOICELESS if following.startswith(VOICELESS) else FEM_PREFIX
 
     fem_suffix = ""
     plural_suffix = ""
     if plural:
-        plural_suffix = inventory.plural_suffix_fem if feminine else inventory.plural_suffix_masc
+        plural_suffix = PLURAL_SUFFIX_FEM if feminine else PLURAL_SUFFIX_MASC
     elif feminine and item.fem_suffix:
-        fem_suffix = (
-            inventory.fem_suffix_postvocalic
-            if inventory.ends_vocalic(radical)
-            else inventory.fem_suffix
-        )
+        fem_suffix = FEM_SUFFIX_POSTVOCALIC if radical.endswith(VOWELS_AND_GLIDES) else FEM_SUFFIX
 
     segments: List[Tuple[str, str]] = []
     if fem_prefix:
@@ -191,48 +165,12 @@ class AuditEntry:
     classification: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """The entries of a realization audit, in item-id order, with their
-    tallies by classification."""
-
-    entries: Tuple[AuditEntry, ...]
-
-    def count(self, classification: str) -> int:
-        return sum(1 for e in self.entries if e.classification == classification)
-
-    @property
-    def rule_matches(self) -> int:
-        return self.count(RULE_MATCH)
-
-    @property
-    def overrides(self) -> int:
-        return self.count(OVERRIDE_USED)
-
-    @property
-    def mismatches(self) -> Tuple[AuditEntry, ...]:
-        return tuple(e for e in self.entries if e.classification == MISMATCH)
-
-    def render(self) -> str:
-        lines = [
-            f"{e.classification:13s}  {e.item_id:12s}  expected {e.expected!r}  got {e.produced!r}"
-            for e in self.entries
-        ]
-        lines.append(
-            f"audited {len(self.entries)}: {self.rule_matches} rule-matched, "
-            f"{self.overrides} via override, {len(self.mismatches)} mismatched"
-        )
-        return "\n".join(lines)
-
-
-def realization_audit(
-    state: LexiconState,
-    inventory: MarkerInventory = DEFAULT_INVENTORY,
-) -> AuditReport:
+def realization_audit(state: LexiconState) -> Tuple[AuditEntry, ...]:
     """Compare every attested surface in the lexicon against the realizer.
 
-    Items are audited when they carry an expected surface (or an override,
-    which doubles as the attestation).  An override is never counted as a
+    Returns one entry per audited item, in item-id order.  Items are
+    audited when they carry an expected surface (or an override, which
+    doubles as the attestation).  An override is never counted as a
     rule match, even when the rules would have produced the same string; a
     mismatch is always listed, never swallowed.
     """
@@ -242,13 +180,13 @@ def realization_audit(
         expected = item.expected_surface or item.surface_override
         if expected is None:
             continue
-        if item.category == VERB or item.language != inventory.language:
+        if item.category == VERB or item.language != LANGUAGE:
             continue
         template = engine.transfer(state, item_id).template
-        form = realize(item, template, inventory)
+        form = realize(item, template)
         if form.from_override:
             clazz = OVERRIDE_USED if form.matches(expected) else MISMATCH
         else:
             clazz = RULE_MATCH if form.matches(expected) else MISMATCH
         entries.append(AuditEntry(item_id, expected, form.hyphenated, clazz))
-    return AuditReport(entries=tuple(entries))
+    return tuple(entries)

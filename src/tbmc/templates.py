@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import algebra
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
@@ -78,15 +78,14 @@ class LanguageProfile:
             raise TemplateError(f"profile {self.language}: duplicate slot features")
         if self.category in names:
             raise TemplateError(f"profile {self.language}: category clashes with a feature")
+        for name in (self.category, *names):
+            # template text splits on these, and reads a leading sign as a polarity
+            if not name or name[0] in algebra.POLARITIES or any(c.isspace() or c in "|,{}[]" for c in name):
+                raise TemplateError(f"profile {self.language}: name {name!r} cannot appear in template text")
 
     def feature_names(self) -> Tuple[str, ...]:
         """Unsigned inventory in declaration order (category excluded)."""
         return tuple(n for slot in self.slots for n in slot.names)
-
-    @property
-    def cardinality(self) -> int:
-        """Member count of a well-formed body: category plus one sign per feature."""
-        return 1 + len(self.feature_names())
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,6 @@ class Template:
 
     def render(self) -> str:
         return canonical_render(self.body, self.profile)
-
-    def signed(self, name: str) -> Optional[str]:
-        """The signed atom this body carries for a feature name, if any."""
-        for pol in (POSITIVE, NEGATIVE):
-            if pol + name in self.body:
-                return pol + name
-        return None
 
 
 def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
@@ -299,9 +291,6 @@ class InitialTemplates:
             raise InitialTemplateError(
                 f"no initial template for cognitive set {cogset!r} in {language!r}"
             ) from None
-
-    def __iter__(self) -> Iterator[Tuple[str, str]]:
-        return iter(self.entries)
 
 
 # -- built-in profiles and defaults ------------------------------------------

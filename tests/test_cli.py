@@ -335,6 +335,8 @@ _HOSTILE_CORPORA = {
     "verb-target": _HEAD + "derive id=b base=a via=CONV target=V\nderive id=c base=b via=CONV\n",
     "borrow-without-donor": 'derive id=b via=BORROW lang=riffian radical="x" target=U\n',
     "mismatch": _HEAD + "derive id=b base=a via=CONV expect_template={N, +SG, -PL, +M, -F, -COL, +SING}\n",
+    "unspellable-profile": "profile foo category=N slots=[SG|PL|DU, M|F]\n"
+                           'item id=a lang=foo radical="ka" cogset=C template={N, +SG, -PL, +M, -F}\n',
 }
 _HOSTILE_ARGV = [
     ("derive", FIG2, "fad_v"), ("derive", FIG2, "sendu_2", "--base", "sendu_1"), ("derive", FIG2),
@@ -384,3 +386,60 @@ def test_a_hostile_corpus_exits_with_a_code(tmp_path, capsys, text):
     for argv in (("validate",), ("validate", "--format", "records"), ("derive", "c"), ("trace", "a"),
                  ("estimate",), ("derive", "--base", "a", "--via", "WIDEN")):
         _exit_of((argv[0], str(path), *argv[1:]), capsys)
+
+
+@pytest.mark.parametrize("text, flags, name", [
+    ('item id=a lang=riffian radical="ka" cogset=C typical=true '
+     "template={N, +SG, -PL, +M, -F, -COL, +SING}\n", ("--require-any", "typical,zzz"), "zzz"),
+    ("", ("--exclude", "nonsense"), "nonsense"),
+])
+def test_estimate_rejects_an_unknown_flag_whatever_the_corpus_holds(tmp_path, capsys, text, flags, name):
+    path = tmp_path / "corpus.tbmc"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "estimate", str(path), *flags) == (2, "", f"unknown corpus flag {name!r}\n")
+
+
+# -- cross-command agreement ---------------------------------------------------------
+
+def _records(capsys, *argv):
+    """Each stdout line of a command as a dict, and its exit code."""
+    code, out, _ = run(capsys, *argv)
+    return code, [dict(field.split("=", 1) for field in line.split("\t")) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("name", ["riffian_fig2", "french_example1", "table3_estimation"])
+def test_derive_validate_and_trace_agree_on_every_item(capsys, name):
+    from tbmc import corpus, realizer
+
+    path = str(fixture_path(name))
+    state = corpus.load_path(path).state
+    code, rows = _records(capsys, "validate", path, "--format", "records")
+    assert code == 0
+    validated = {row["id"]: row for row in rows if row.get("kind") == "template"}
+    produced = {entry.item_id: entry.produced for entry in realizer.realization_audit(state)}
+    assert produced
+
+    derived = set()
+    for item_id in state.items:
+        code, trace = _records(capsys, "trace", path, item_id, "--format", "records")
+        assert code == 0
+        # an item with a base traces its path, the item last; a chain root
+        # (a head or a borrowing) traces the tree under it, the item first
+        edge = state.edges.get(item_id)
+        node = trace[-1] if edge is not None and edge.base_id is not None else trace[0]
+        assert node["id"] == item_id
+        code, derive = _records(capsys, "derive", path, item_id, "--format", "records")
+        if code == 2:  # a verb has no template: trace shows none either
+            assert (node["rule"], node["template"]) == ("-", "-")
+            continue
+        assert code == 0
+        (record,) = derive
+        derived.add(item_id)
+        assert (record["rule"], record["template"], record["stratum"]) == \
+            (node["rule"], node["template"], node["stratum"])
+        if item_id in validated:
+            assert (record["rule"], record["template"]) == \
+                (validated[item_id]["via"], validated[item_id]["actual"])
+        if item_id in produced:
+            assert record["surface"] == produced[item_id]
+    assert set(validated) | set(produced) <= derived

@@ -161,10 +161,19 @@ def test_declared_builtin_profiles_reuse_the_builtin_objects(fig2_document):
     assert other.profiles["riffian"] != RIFFIAN
 
 
+@pytest.mark.parametrize("slots, name", [("[SG|PL|DU, M|F]", "PL|DU"), ("[SG|, M|F]", "")])
+def test_a_profile_name_template_text_cannot_spell_is_an_issue_on_the_profile_line(slots, name):
+    doc = parse(
+        f"profile foo category=N slots={slots}\n"
+        'item id=a lang=foo radical="x" cogset=C template={N, +SG, -PL, +M, -F}\n')
+    assert [(i.line, i.column, i.message) for i in doc.issues] == [
+        (1, 24, f"profile foo: name {name!r} cannot appear in template text")]
+
+
 def test_item_without_cogset_or_template_is_a_verb():
     doc = parse(HEADER + 'item id=v lang=riffian radical="ndeh" gloss="to drive"\n')
     loaded = load(doc)
-    assert loaded.ok
+    assert doc.ok and not loaded.errors
     assert loaded.state.items["v"].category == "V"
 
 

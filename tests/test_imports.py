@@ -77,3 +77,30 @@ def test_submodules_load_on_first_access():
     proc = _python("-c", _LAZY_ACCESS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "{N, +SG, -PL, -M, +F, -COL, +SING}\n"
+
+
+# The names the benchmark's tracer replaces or swaps by name: a rename must
+# fail here, not only in a traced benchmark run.
+_HOOKED_FUNCTIONS = {
+    "corpus": ("parse", "load", "validate", "serialize"),
+    "realizer": ("realization_audit", "realize"),
+    "estimator": ("estimate_initial_templates",),
+    "engine": ("transfer", "trace", "render_trace"),
+}
+_ENGINE_CALLERS = ("corpus", "realizer", "estimator", "cli")
+
+
+def test_the_names_the_benchmark_hooks_exist():
+    import importlib
+
+    from tbmc import engine
+    from tbmc.lexicon import LexiconState
+
+    for module, names in _HOOKED_FUNCTIONS.items():
+        loaded = importlib.import_module(f"tbmc.{module}")
+        for name in names:
+            assert callable(getattr(loaded, name, None)), f"tbmc.{module}.{name}"
+    for name in ("add_item", "apply_formation"):
+        assert callable(getattr(LexiconState, name, None)), f"LexiconState.{name}"
+    for module in _ENGINE_CALLERS:
+        assert importlib.import_module(f"tbmc.{module}").engine is engine, f"tbmc.{module}.engine"

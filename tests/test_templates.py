@@ -115,7 +115,7 @@ def test_same_profile_templates_share_inventory_and_cardinality():
     candidates = enumerate_candidates(RIFFIAN, well_formed_only=True)
     inventories = {frozenset(base_of(atom) for atom in c) for c in candidates}
     assert len(inventories) == 1
-    assert {len(c) for c in candidates} == {RIFFIAN.cardinality}
+    assert {len(c) for c in candidates} == {1 + len(RIFFIAN.feature_names())}
 
 
 def test_initial_registry_carries_the_recovered_templates():
@@ -143,11 +143,29 @@ def test_profile_rejects_duplicate_features():
         LanguageProfile("bad", "N", (Opposition("SG", "PL"), Free("SG")))
 
 
+@pytest.mark.parametrize("category, slots, name", [
+    ("N", (Opposition("SG", "PL|DU"), Opposition("M", "F")), "PL|DU"),
+    ("N", (Opposition("SG", ""), Opposition("M", "F")), ""),
+    ("N", (Free("DE F"),), "DE F"),
+    ("N", (Free("DEF,COL"),), "DEF,COL"),
+    ("N", (Free("{DEF}"),), "{DEF}"),
+    ("N", (Free("[DEF]"),), "[DEF]"),
+    ("N", (Free("+DEF"),), "+DEF"),
+    ("N", (Free("-DEF"),), "-DEF"),
+    ("", (Free("DEF"),), ""),
+    ("-N", (Free("DEF"),), "-N"),
+])
+def test_profile_rejects_names_template_text_cannot_spell(category, slots, name):
+    with pytest.raises(TemplateError) as info:
+        LanguageProfile("bad", category, slots)
+    assert str(info.value) == f"profile bad: name {name!r} cannot appear in template text"
+
+
 def test_make_template_validates():
     t = make_template(RIFFIAN, "{N, +SG, -PL, +M, -F, -COL, +SING}")
     assert not t.violations()
-    assert t.signed("M") == "+M"
-    assert t.signed("F") == "-F"
+    assert "+M" in t.body and "-M" not in t.body
+    assert "-F" in t.body and "+F" not in t.body
     with pytest.raises(TemplateError):
         make_template(RIFFIAN, "{N, +SG, -PL, +M, +F, -COL, +SING}")
 
@@ -164,8 +182,8 @@ def test_operand_rendering_follows_profile_order():
 
 def test_builtin_profile_registry():
     assert set(BUILTIN_PROFILES) == {"riffian", "french"}
-    assert BUILTIN_PROFILES["riffian"].cardinality == 7
-    assert BUILTIN_PROFILES["french"].cardinality == 7
+    assert 1 + len(BUILTIN_PROFILES["riffian"].feature_names()) == 7
+    assert 1 + len(BUILTIN_PROFILES["french"].feature_names()) == 7
 
 
 # -- the per-profile memo of well-formed bodies --------------------------------
