@@ -13,17 +13,23 @@ field order, for golden-file comparison without a parser.
 
 Errors go to stderr, one line each, whatever the format.  An input error
 is a ``ValueError`` (every module's error class is one), raised wherever it
-is found; ``main`` is the one place that prints it and exits 2.  Bad flags
-are argparse's, which exits 2 itself.  ``validate`` writes each
-``error: ...`` line to stderr in both formats, and its text report also
-keeps those lines on stdout, so the report reads whole.
+is found and turned into exit 2 by ``main``.  Bad flags are argparse's,
+which exits 2 itself.  ``validate`` writes each ``error: ...`` line to
+stderr in both formats, and its text report also keeps those lines on
+stdout, so the report reads whole.
+
+Each command returns its exit code, its stdout text and its stderr text;
+``main`` is the one place that writes.  When the reader of stdout is gone,
+nothing more is written, nothing goes to stderr, and the exit code is the
+one the command computed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 # A cold command imports only what it runs: the parser and the dispatch need
 # only these, and each command imports the rest of the library itself.
@@ -41,6 +47,7 @@ if TYPE_CHECKING:
     from .realizer import SurfaceForm
 
 OK, MISMATCH_EXIT, INPUT_ERROR = 0, 1, 2
+Output = Tuple[int, str, str]  # a command's exit code, stdout text and stderr text
 
 
 def _read_corpus(path: str) -> CorpusDocument:
@@ -72,52 +79,44 @@ def _record(pairs) -> str:
     return "\t".join(f"{k}={v}" for k, v in pairs)
 
 
+def _text(lines: Iterable[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
 # -- validate -------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Output:
     from . import corpus
 
     report = corpus.validate(_read_corpus(args.corpus))
-    for err in report.errors:
-        print(f"error: {err}", file=sys.stderr)
     if args.format == "records":
-        for row in report.rows:
-            print(_record([
-                ("kind", row.kind), ("id", row.item_id),
-                ("status", "ok" if row.ok else "mismatch"),
-                ("via", row.via), ("actual", row.actual), ("expected", row.expected),
-            ]))
-        print(_record([("result", "pass" if report.passed else "fail")]))
+        lines = [_record([
+            ("kind", row.kind), ("id", row.item_id),
+            ("status", "ok" if row.ok else "mismatch"),
+            ("via", row.via), ("actual", row.actual), ("expected", row.expected),
+        ]) for row in report.rows]
+        lines.append(_record([("result", "pass" if report.passed else "fail")]))
     else:
-        print(report.render())
-    if report.errors:
-        return INPUT_ERROR
-    return OK if report.passed else MISMATCH_EXIT
+        lines = [report.render()]
+    code = INPUT_ERROR if report.errors else OK if report.passed else MISMATCH_EXIT
+    return code, _text(lines), _text(f"error: {err}" for err in report.errors)
 
 
 # -- derive ---------------------------------------------------------------
 
 def _render_shift(item_id: str, record: Optional[ShiftRecord], result: ShiftResult,
-                  surface: Optional[SurfaceForm], fmt: str) -> None:
+                  surface: Optional[SurfaceForm], fmt: str) -> Output:
+    # a field whose value is None is left out
+    operand = None if result.operand is None else render_operand(result.operand, result.template.profile)
     if fmt == "records":
-        pairs = [("id", item_id), ("rule", result.rule_id),
-                 ("template", result.template.render()), ("stratum", result.stratum)]
-        if result.operand is not None:
-            pairs.append(("operand", render_operand(result.operand, result.template.profile)))
-        if surface is not None:
-            pairs.append(("surface", surface.hyphenated))
-        print(_record(pairs))
-        return
-    print(f"item: {item_id}")
-    if record is not None:
-        print(f"record: {record.render()}")
-    print(f"rule: {result.rule_id}")
-    if result.operand is not None:
-        print(f"operand: {render_operand(result.operand, result.template.profile)}")
-    print(f"template: {result.template.render()}")
-    print(f"stratum: {result.stratum}")
-    if surface is not None:
-        print(f"surface: {surface.hyphenated} ({surface.joined})")
+        pairs = [("id", item_id), ("rule", result.rule_id), ("template", result.template.render()),
+                 ("stratum", result.stratum), ("operand", operand),
+                 ("surface", surface.hyphenated if surface else None)]
+        return OK, f"{_record((k, v) for k, v in pairs if v is not None)}\n", ""
+    pairs = [("item", item_id), ("record", record.render() if record else None), ("rule", result.rule_id),
+             ("operand", operand), ("template", result.template.render()), ("stratum", result.stratum),
+             ("surface", f"{surface.hyphenated} ({surface.joined})" if surface else None)]
+    return OK, _text(f"{k}: {v}" for k, v in pairs if v is not None), ""
 
 
 def _surface_for(item: Item, result: ShiftResult):
@@ -129,7 +128,7 @@ def _surface_for(item: Item, result: ShiftResult):
     return realizer.realize(item, result.template)
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> Output:
     state = _load_corpus(args.corpus).state
 
     if args.item is not None:
@@ -138,8 +137,7 @@ def cmd_derive(args) -> int:
         result = engine.transfer(state, args.item)
         record = engine.shift_record(state, args.item)
         surface = _surface_for(state.items[args.item], result)
-        _render_shift(args.item, record if not record.is_empty else None, result, surface, args.format)
-        return OK
+        return _render_shift(args.item, record if not record.is_empty else None, result, surface, args.format)
 
     if not args.via or (not args.base and args.via != "BORROW"):
         raise ValueError("ad-hoc derivation needs --base and --via (BORROW may omit --base)")
@@ -159,13 +157,12 @@ def cmd_derive(args) -> int:
     if base is not None and edge.process in (Formation.CONVERSION, Formation.WIDENING):
         # these processes preserve the radical, so the spell-out is known
         surface = _surface_for(item, result)
-    _render_shift(label, record, result, surface, args.format)
-    return OK
+    return _render_shift(label, record, result, surface, args.format)
 
 
 # -- solve ----------------------------------------------------------------
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> Output:
     from .templates import parse_template_text, validate as validate_body
 
     base_body = parse_template_text(args.base)
@@ -184,99 +181,88 @@ def cmd_solve(args) -> int:
         raise ValueError("templates fit no built-in profile; pass --profile")
     profile = candidates[0]
     operand = engine.solve_operand(Template(profile, base_body), Template(profile, result_body))
-    print(render_operand(operand, profile))
-    return OK
+    return OK, f"{render_operand(operand, profile)}\n", ""
 
 
 # -- trace ----------------------------------------------------------------
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> Output:
     tree = engine.trace(_load_corpus(args.corpus).state, args.item)
-    if args.format == "records":
-        stack = [(tree, 0)]  # depth-first, first child first, as render_trace
-        while stack:
-            node, depth = stack.pop()
-            print(_record([
-                ("id", node.item_id), ("depth", depth), ("stratum", node.stratum),
-                ("step", node.process.value if node.process else "head"),
-                ("rule", node.rule_id or "-"),
-                ("template", node.template.render() if node.template else "-"),
-                ("live", "false" if node.superseded else "true"),
-            ]))
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-    else:
-        print(engine.render_trace(tree))
-    return OK
+    if args.format != "records":
+        return OK, f"{engine.render_trace(tree)}\n", ""
+    lines = []
+    stack = [(tree, 0)]  # depth-first, first child first, as render_trace
+    while stack:
+        node, depth = stack.pop()
+        lines.append(_record([
+            ("id", node.item_id), ("depth", depth), ("stratum", node.stratum),
+            ("step", node.process.value if node.process else "head"),
+            ("rule", node.rule_id or "-"),
+            ("template", node.template.render() if node.template else "-"),
+            ("live", "false" if node.superseded else "true"),
+        ]))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return OK, _text(lines), ""
 
 
 # -- enumerate --------------------------------------------------------------
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Output:
     from .templates import enumerate_candidates, render_assignment
 
     profile = BUILTIN_PROFILES.get(args.profile)
     if profile is None:
         raise ValueError(f"unknown profile {args.profile!r}; have {', '.join(sorted(BUILTIN_PROFILES))}")
     bodies = enumerate_candidates(profile, well_formed_only=args.well_formed)
-    for body in bodies:
-        if args.format == "records":
-            print(_record([("template", render_assignment(body, profile))]))
-        else:
-            print(render_assignment(body, profile))
     label = "well-formed templates" if args.well_formed else "candidates"
     if args.format == "records":
-        print(_record([("count", len(bodies)), ("kind", label.replace(" ", "-"))]))
+        lines = [_record([("template", render_assignment(body, profile))]) for body in bodies]
+        lines.append(_record([("count", len(bodies)), ("kind", label.replace(" ", "-"))]))
     else:
-        print(f"{len(bodies)} {label}")
-    return OK
+        lines = [render_assignment(body, profile) for body in bodies]
+        lines.append(f"{len(bodies)} {label}")
+    return OK, _text(lines), ""
 
 
 # -- estimate --------------------------------------------------------------
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> Output:
     from . import estimator
 
     state = _load_corpus(args.corpus).state
-    filt = estimator.EstimationFilter(
-        require_any=frozenset(args.require_any.split(",")) if args.require_any else
-        estimator.DEFAULT_FILTER.require_any,
-        exclude=frozenset(args.exclude.split(",")) if args.exclude else
-        estimator.DEFAULT_FILTER.exclude,
-        unfiltered_sets=frozenset(args.unfiltered.split(",")) if args.unfiltered else
-        estimator.DEFAULT_FILTER.unfiltered_sets,
-    )
+    given = {"require_any": args.require_any, "exclude": args.exclude, "unfiltered_sets": args.unfiltered}
+    filt = estimator.EstimationFilter(**{k: frozenset(v.split(",")) for k, v in given.items() if v})
     estimates = estimator.estimate_initial_templates(state, filt)
-    if args.format == "records":
-        for est in estimates:
-            print(_record([
-                ("cogset", est.cogset), ("status", est.status.replace(" ", "-")),
-                ("sample", est.sample_size),
-                ("winner", est.winner.render() if est.winner else "-"),
-            ]))
-            for key, count in est.histogram:
-                print(_record([("cogset", est.cogset), ("template", key), ("count", count)]))
-    else:
-        print(estimator.render_report(estimates))
-    return OK
+    if args.format != "records":
+        return OK, f"{estimator.render_report(estimates)}\n", ""
+    lines = []
+    for est in estimates:
+        lines.append(_record([
+            ("cogset", est.cogset), ("status", est.status.replace(" ", "-")),
+            ("sample", est.sample_size),
+            ("winner", est.winner.render() if est.winner else "-"),
+        ]))
+        lines.extend(_record([("cogset", est.cogset), ("template", key), ("count", count)])
+                     for key, count in est.histogram)
+    return OK, _text(lines), ""
 
 
 # -- selfcheck --------------------------------------------------------------
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args) -> Output:
     from . import oracle
 
     pair_atoms = min(args.atoms + 2, oracle.PAIR_CAP)
     results = oracle.default_suite(axiom_atoms=args.atoms, pair_atoms=pair_atoms)
-    for result in results:
-        if args.format == "records":
-            print(_record([
-                ("check", result.name),
-                ("status", "pass" if result.passed else "fail"),
-                ("checks", result.checks),
-            ]))
-        else:
-            print(result.render())
-    return OK if all(r.passed for r in results) else MISMATCH_EXIT
+    if args.format == "records":
+        lines = [_record([
+            ("check", result.name),
+            ("status", "pass" if result.passed else "fail"),
+            ("checks", result.checks),
+        ]) for result in results]
+    else:
+        lines = [result.render() for result in results]
+    return OK if all(r.passed for r in results) else MISMATCH_EXIT, _text(lines), ""
 
 
 # -- parser -----------------------------------------------------------------
@@ -347,12 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command, then write its stderr text and its stdout text."""
+    argparse_exit = None
     try:
-        return args.func(args)
-    except ValueError as exc:  # every input error of the library is one
-        print(exc, file=sys.stderr)
-        return INPUT_ERROR
+        try:
+            args = build_parser().parse_args(argv)
+            code, out, err = args.func(args)
+            sys.stderr.write(err)
+            sys.stdout.write(out)  # encodes the whole text before it writes any
+        except SystemExit as exc:  # argparse has written --help or a usage error itself
+            argparse_exit = exc
+        except ValueError as exc:  # an input error (each library error is one), or text stdout cannot encode
+            code = INPUT_ERROR
+            sys.stderr.write(f"{exc}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: devnull takes the rest, as the Python docs on SIGPIPE advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if argparse_exit is not None:
+        raise argparse_exit
+    return code
 
 
 if __name__ == "__main__":

@@ -70,9 +70,6 @@ from .templates import (
     parse_template_text,
 )
 
-FILE_EXTENSION = ".tbmc"
-
-
 @dataclass(frozen=True)
 class ParseIssue:
     """One problem found while parsing, at its 1-based line and column."""
@@ -510,9 +507,9 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
     if "category" not in fields or "slots" not in fields:
         issues.append(ParseIssue(line, offset, "profile needs category= and slots=[...]"))
         return None
-    raw_slots, col = fields["slots"]
+    raw_slots, slots_col = fields["slots"]
     if not (raw_slots.startswith("[") and raw_slots.endswith("]")):
-        issues.append(ParseIssue(line, col, "slots must be bracketed, e.g. slots=[SG|PL, DEF]"))
+        issues.append(ParseIssue(line, slots_col, "slots must be bracketed, e.g. slots=[SG|PL, DEF]"))
         return None
     slots: List[Slot] = []
     for part in raw_slots[1:-1].split(","):
@@ -524,11 +521,15 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
             slots.append(Opposition(a.strip(), b.strip()))
         else:
             slots.append(Free(part))
-    try:
-        profile = LanguageProfile(name, fields["category"][0], tuple(slots))
-    except ValueError as exc:
-        issues.append(ParseIssue(line, col, str(exc)))
-        return None
+    category, category_col = fields["category"]
+    # the category first, with the slots that hold its name: its faults are reported at category=
+    clashing = tuple(slot for slot in slots if category in slot.names)
+    for col, checked in ((category_col, clashing), (slots_col, tuple(slots))):
+        try:
+            profile = LanguageProfile(name, category, checked)
+        except ValueError as exc:
+            issues.append(ParseIssue(line, col, str(exc)))
+            return None
     builtin = BUILTIN_PROFILES.get(name)
     return ProfileStmt(line=line, profile=builtin if builtin == profile else profile)
 

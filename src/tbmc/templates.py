@@ -74,10 +74,10 @@ class LanguageProfile:
 
     def __post_init__(self) -> None:
         names = self.feature_names()
-        if len(set(names)) != len(names):
-            raise TemplateError(f"profile {self.language}: duplicate slot features")
         if self.category in names:
             raise TemplateError(f"profile {self.language}: category clashes with a feature")
+        if len(set(names)) != len(names):
+            raise TemplateError(f"profile {self.language}: duplicate slot features")
         for name in (self.category, *names):
             # template text splits on these, and reads a leading sign as a polarity
             if not name or name[0] in algebra.POLARITIES or any(c.isspace() or c in "|,{}[]" for c in name):

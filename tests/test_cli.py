@@ -27,14 +27,16 @@ def test_validate_passes_on_fixtures(capsys):
         assert out.rstrip().endswith("result: PASS")
 
 
+# a conversion whose expected template is its base's, which R1 changes
+MISMATCHING = ('item id=a lang=riffian radical="x" cogset=C '
+               "template={N, +SG, -PL, +M, -F, -COL, +SING}\n"
+               "derive id=b base=a via=CONV target=U "
+               "expect_template={N, +SG, -PL, +M, -F, -COL, +SING}\n")
+
+
 def test_validate_mismatch_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.tbmc"
-    bad.write_text(
-        'item id=a lang=riffian radical="x" cogset=C '
-        "template={N, +SG, -PL, +M, -F, -COL, +SING}\n"
-        "derive id=b base=a via=CONV target=U "
-        "expect_template={N, +SG, -PL, +M, -F, -COL, +SING}\n",
-        encoding="utf-8")
+    bad.write_text(MISMATCHING, encoding="utf-8")
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 1
     assert "MISMATCH" in out
@@ -443,3 +445,74 @@ def test_derive_validate_and_trace_agree_on_every_item(capsys, name):
         if item_id in produced:
             assert record["surface"] == produced[item_id]
     assert set(validated) | set(produced) <= derived
+
+
+# -- the process boundary: main is the one writer --------------------------------------
+
+# one argv per subcommand, in each format it has
+_EVERY_COMMAND = [
+    ("validate", FIG2), ("derive", FIG2, "sendu_2"), ("trace", FIG2, "ieis_v"),
+    ("enumerate", "--profile", "riffian"), ("estimate", TABLE3), ("selfcheck", "--atoms", "2"),
+]
+
+
+class _Unwritable:
+    def write(self, text):
+        raise AssertionError(f"a command wrote {text!r} itself")
+
+
+@pytest.mark.parametrize("argv", [
+    *_EVERY_COMMAND, *((*argv, "--format", "records") for argv in _EVERY_COMMAND),
+    ("solve", "--base", "{N,+SG,-PL,+M,-F,+DEF,-COL}", "--result", "{N,+SG,-PL,-M,+F,+DEF,-COL}"),
+], ids=lambda argv: " ".join(os.path.basename(arg) for arg in argv))
+def test_a_command_returns_its_output_and_writes_nothing(monkeypatch, argv):
+    from tbmc.cli import build_parser
+
+    args = build_parser().parse_args(list(argv))
+    monkeypatch.setattr(sys, "stdout", _Unwritable())
+    monkeypatch.setattr(sys, "stderr", _Unwritable())
+    code, out, err = args.func(args)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n")
+
+
+def _child(argv, buffering, stdout=subprocess.PIPE, **env):
+    """``python -m tbmc ARGV`` with stdout block-buffered ("buffered") or
+    written through ("unbuffered", ``PYTHONUNBUFFERED=1``)."""
+    env = {key: value for key, value in {**os.environ, **env}.items() if key != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "tbmc", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.fixture
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed, as after
+    ``| head -1`` has read its line, but with no race against the reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    yield write_end
+    os.close(write_end)
+
+
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, code", [
+    (("validate", FIG2, "--format", "records"), 0),
+    (("validate", "{mismatching}"), 1),
+    (("--help",), 0),
+], ids=["pass", "mismatch", "help"])
+def test_a_closed_stdout_keeps_the_exit_code_and_leaves_stderr_empty(tmp_path, closed_pipe, buffering,
+                                                                      argv, code):
+    path = tmp_path / "mismatching.tbmc"
+    path.write_text(MISMATCHING, encoding="utf-8")
+    proc = _child([arg.replace("{mismatching}", str(path)) for arg in argv], buffering, stdout=closed_pipe)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
+
+
+@pytest.mark.parametrize("buffering", ["unbuffered", "buffered"])
+def test_output_stdout_cannot_encode_is_an_input_error_and_none_of_it_is_written(buffering):
+    # the spell-out on the last line holds U+00F0, which ASCII cannot encode
+    proc = _child(["derive", FIG2, "sendu_2"], buffering, PYTHONIOENCODING="ascii")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == \
+        "'ascii' codec can't encode character '\\xf0' in position 177: ordinal not in range(128)\n"

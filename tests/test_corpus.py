@@ -170,6 +170,20 @@ def test_a_profile_name_template_text_cannot_spell_is_an_issue_on_the_profile_li
         (1, 24, f"profile foo: name {name!r} cannot appear in template text")]
 
 
+@pytest.mark.parametrize("fields, column, message", [
+    ("category=-N slots=[A|B]", 13, "name '-N' cannot appear in template text"),
+    ("category=A slots=[A|B]", 13, "category clashes with a feature"),
+    ("category=A slots=[A|A]", 13, "category clashes with a feature"),
+    ("category=N slots=[A|-B]", 24, "name '-B' cannot appear in template text"),
+    ("category=N slots=[A|A]", 24, "duplicate slot features"),
+    ("slots=[A|B] category=-N", 25, "name '-N' cannot appear in template text"),
+    ("slots=[A|-B] category=N", 13, "name '-B' cannot appear in template text"),
+])
+def test_a_profile_fault_is_reported_at_the_field_that_holds_it(fields, column, message):
+    doc = parse(f"profile foo {fields}\n")
+    assert [(i.line, i.column, i.message) for i in doc.issues] == [(1, column, f"profile foo: {message}")]
+
+
 def test_item_without_cogset_or_template_is_a_verb():
     doc = parse(HEADER + 'item id=v lang=riffian radical="ndeh" gloss="to drive"\n')
     loaded = load(doc)
