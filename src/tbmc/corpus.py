@@ -58,15 +58,15 @@ from .lexicon import (
 )
 from .realizer import MISMATCH, OVERRIDE_USED, normalize_phonetic
 from .templates import (
+    BUILTIN_INITIALS,
     BUILTIN_PROFILES,
     Free,
-    InitialTemplates,
     LanguageProfile,
     Opposition,
     Slot,
     Template,
     TemplateError,
-    default_initials,
+    canonical_render,
     parse_template_text,
 )
 
@@ -304,7 +304,7 @@ def _write_via(value: Formation, profile: Optional[LanguageProfile]) -> str:
 def _render_body(body: FeatureSet, profile: Optional[LanguageProfile]) -> str:
     if profile is not None:
         try:
-            return Template(profile, body).render()
+            return canonical_render(body, profile)
         except ValueError:
             pass
     return "{" + ", ".join(sorted(body)) + "}"
@@ -620,9 +620,11 @@ class LoadResult:
 def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
     """Build a lexicon state from a parsed document.
 
-    Built-in profiles and initial templates are seeded first; corpus
-    declarations override them, and a declaration equal to a built-in
-    profile reuses the built-in object, with the tables it has filled.
+    The snapshot starts from copies of the read-only ``BUILTIN_PROFILES``
+    and ``BUILTIN_INITIALS``; corpus declarations override entries of the
+    copies, and a declaration equal to a built-in profile reuses the
+    built-in object, with the tables it has filled.  An ``initial`` line
+    whose template is ill-formed is reported and adds nothing.
     Statement-level failures are collected with their line numbers rather
     than aborting the rest of the load; a failing statement leaves nothing
     behind.  The statements are inserted in place into one private
@@ -639,7 +641,7 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
     one, without resolving it again.
     """
     profiles: Dict[str, LanguageProfile] = dict(BUILTIN_PROFILES)
-    initials: InitialTemplates = default_initials()
+    initials: Dict[Tuple[str, str], Template] = dict(BUILTIN_INITIALS)
     errors: List[str] = []
 
     for stmt in document.statements:
@@ -650,10 +652,13 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
             if stmt.language not in profiles:
                 errors.append(f"line {stmt.line}: initial for unknown language {stmt.language!r}")
                 continue
-            try:
-                initials.register(stmt.language, stmt.cogset, Template(profiles[stmt.language], stmt.body))
-            except TemplateError as exc:
-                errors.append(f"line {stmt.line}: {exc}")
+            template = Template(profiles[stmt.language], stmt.body)
+            problems = template.violations()
+            if problems:
+                errors.append(f"line {stmt.line}: initial template for {stmt.language}.{stmt.cogset} "
+                              "is ill-formed: " + "; ".join(problems))
+            else:
+                initials[(stmt.language, stmt.cogset)] = template
 
     draft = new_state(profiles, initials, rules=rules).draft()
     for stmt in document.statements:
@@ -777,9 +782,7 @@ def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = No
             continue
         item = state.items[item_id]
         try:
-            profile = state.profile_for(item)
-            expected = Template(profile, edge.expect_template)
-            expected_text = expected.render()
+            expected_text = canonical_render(edge.expect_template, state.profile_for(item))
         except ValueError as exc:
             errors.append(f"item {item_id}: bad expected template: {exc}")
             continue
@@ -792,7 +795,7 @@ def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = No
             item_id=item_id,
             expected=expected_text,
             actual=result.template.render(),
-            ok=result.template.body == expected.body,
+            ok=result.template.body == edge.expect_template,
             via=result.rule_id,
         ))
 

@@ -29,7 +29,7 @@ triggers can both fire on one record is rejected at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from . import algebra
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
@@ -43,7 +43,7 @@ from .lexicon import (
     VERB,
 )
 from .templates import (
-    InitialTemplates,
+    InitialTemplateError,
     LanguageProfile,
     Template,
     shared_operand,
@@ -102,8 +102,8 @@ class Clause:
             if a is not None and b is not None and a != b:
                 return False
         for name in ("base_cogsets", "target_cogsets"):
-            a, b = getattr(self, name), getattr(other, name)
-            if a is not None and b is not None and not a & b:
+            sets = [s for s in (getattr(self, name), getattr(other, name)) if s is not None]
+            if sets and not frozenset.intersection(*sets):  # None accepts every set
                 return False
         return True
 
@@ -274,14 +274,17 @@ def _force_gender(body: FeatureSet, donor: str) -> FeatureSet:
 def apply_gradient(
     record: ShiftRecord,
     profile: LanguageProfile,
-    initials: InitialTemplates,
+    initials: Mapping[Tuple[str, str], Template],
     rules: RuleRegistry = DEFAULT_RULES,
 ) -> ShiftResult:
     """Resolve one shift record to the derived template (the gradient map).
 
-    Raises for the EMPTY record (input heads carry their own template), for
-    a verb target, when no rule triggers, and when a rule would manufacture
-    an ill-formed template.
+    ``initials`` maps ``(language, cogset)`` to the initial template an
+    ``InitialAssign`` rule assigns.  Raises for the EMPTY record (input
+    heads carry their own template), for a verb target, when no rule
+    triggers, when the target set has no initial template
+    (``InitialTemplateError``), and when a rule would manufacture an
+    ill-formed template.
     """
     if record.is_empty:
         raise InputHeadError("input head has no computed template")
@@ -303,7 +306,10 @@ def apply_gradient(
         body = algebra.symmetric_difference(record.base_template.body, operand)
         used: Optional[FeatureSet] = operand
     else:
-        initial = initials.get(profile.language, record.target)
+        initial = initials.get((profile.language, record.target))
+        if initial is None:
+            raise InitialTemplateError(
+                f"no initial template for cognitive set {record.target!r} in {profile.language!r}")
         body = initial.body
         if rule.mode.use_donor_gender:
             if record.donor_gender is None:

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import FeatureSet
-from .templates import InitialTemplates, LanguageProfile, Template
+from .templates import LanguageProfile, Template
 
 if TYPE_CHECKING:  # engine imports this module
     from .engine import RuleRegistry
@@ -165,12 +165,14 @@ EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_i
 class LexiconState:
     """Immutable lexicon snapshot; all transitions return a new state.
 
-    The tables ``items``, ``edges``, ``strata`` and ``profiles`` are
-    read-only views (``types.MappingProxyType``), ``superseded`` is a
-    frozenset and ``warnings`` a tuple, so nothing can change a snapshot
-    once it is made.  That holds however the snapshot is built: given a
-    plain dict, a set or a list, the constructor wraps the dict in a view
-    and freezes the others.  Every write happens in one builder,
+    The tables ``items``, ``edges``, ``strata``, ``profiles`` and
+    ``initials`` (the initial template of each language and cognitive set,
+    by ``(language, cogset)``) are read-only views
+    (``types.MappingProxyType``), ``superseded`` is a frozenset and
+    ``warnings`` a tuple, so nothing can change a snapshot once it is made.
+    That holds however the snapshot is built: given a plain dict, a set or
+    a list, the constructor wraps the dict in a view and freezes the
+    others.  Every write happens in one builder,
     :class:`Draft`: ``add_item`` and ``apply_formation`` on a snapshot make
     a draft off it, insert, and freeze the draft into the successor; on a
     draft they insert in place, which is how ``corpus.load`` builds its
@@ -195,7 +197,7 @@ class LexiconState:
     """
 
     profiles: Mapping[str, LanguageProfile]
-    initials: InitialTemplates
+    initials: Mapping[Tuple[str, str], Template]
     items: Mapping[str, Item] = field(default_factory=dict)
     edges: Mapping[str, EdgeSpec] = field(default_factory=dict)
     superseded: FrozenSet[str] = frozenset()
@@ -209,7 +211,7 @@ class LexiconState:
     _steps: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("items", "edges", "strata", "profiles"):
+        for name in ("items", "edges", "strata", "profiles", "initials"):
             table = getattr(self, name)
             if type(table) is not MappingProxyType:
                 object.__setattr__(self, name, MappingProxyType(table))
@@ -352,10 +354,11 @@ class LexiconState:
 
 def new_state(
     profiles: Mapping[str, LanguageProfile],
-    initials: InitialTemplates,
+    initials: Mapping[Tuple[str, str], Template],
     rules: Optional[RuleRegistry] = None,
 ) -> LexiconState:
-    return LexiconState(profiles=dict(profiles), initials=initials, rules=rules)
+    """An empty snapshot over copies of ``profiles`` and ``initials``."""
+    return LexiconState(profiles=dict(profiles), initials=dict(initials), rules=rules)
 
 
 class Draft(LexiconState):

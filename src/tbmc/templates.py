@@ -1,4 +1,4 @@
-"""Language profiles, grammatical templates, and initial-template registry.
+"""Language profiles, grammatical templates, and the built-in initial templates.
 
 A profile fixes, for one language and one syntactic category, the ordered
 slot structure every template body must instantiate:
@@ -14,15 +14,17 @@ engine move between any two of them by a symmetric difference.
 
 The module also owns the canonical text form (``{N, +SG, -PL, ...}``), the
 candidate enumeration used by the initial-template heuristic (all sign
-assignments, well-formed or not), and the registry mapping a cognitive set
-to the template its members receive on entry.
+assignments, well-formed or not), and the read-only table of built-in
+initial templates: the template the members of a cognitive set receive on
+entry, by language and cognitive set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import algebra
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
@@ -264,33 +266,10 @@ def enumerate_candidates(profile: LanguageProfile, well_formed_only: bool = Fals
 
 
 class InitialTemplateError(TemplateError, KeyError):
-    """No initial template is registered for a language and cognitive set."""
+    """No initial template is given for a language and cognitive set."""
 
     # KeyError's str() would quote the message
     __str__ = ValueError.__str__
-
-
-@dataclass
-class InitialTemplates:
-    """Registry of the template assigned on entry into each cognitive set."""
-
-    entries: Dict[Tuple[str, str], Template] = field(default_factory=dict)
-
-    def register(self, language: str, cogset: str, template: Template) -> None:
-        if template.violations():
-            raise TemplateError(
-                f"initial template for {language}.{cogset} is ill-formed: "
-                + "; ".join(template.violations())
-            )
-        self.entries[(language, cogset)] = template
-
-    def get(self, language: str, cogset: str) -> Template:
-        try:
-            return self.entries[(language, cogset)]
-        except KeyError:
-            raise InitialTemplateError(
-                f"no initial template for cognitive set {cogset!r} in {language!r}"
-            ) from None
 
 
 # -- built-in profiles and defaults ------------------------------------------
@@ -311,7 +290,8 @@ FRENCH = LanguageProfile(
     slots=(Opposition("SG", "PL"), Opposition("M", "F"), Free("DEF"), Free("COL")),
 )
 
-BUILTIN_PROFILES: Dict[str, LanguageProfile] = {p.language: p for p in (RIFFIAN, FRENCH)}
+BUILTIN_PROFILES: Mapping[str, LanguageProfile] = MappingProxyType(
+    {p.language: p for p in (RIFFIAN, FRENCH)})
 
 # Cognitive-set entry templates for Riffian.  C, U and NA carry the values
 # recovered by the frequency heuristic over the deverbal corpus; NAdr (nouns
@@ -322,11 +302,9 @@ UNCOUNTABLE = "U"
 NOUN_OF_ACTION = "NA"
 NOUN_OF_ADDRESS = "NAdr"
 
-
-def default_initials() -> InitialTemplates:
-    reg = InitialTemplates()
-    reg.register("riffian", COUNTABLE, make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, -COL, +SING}"))
-    reg.register("riffian", UNCOUNTABLE, make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, +COL, -SING}"))
-    reg.register("riffian", NOUN_OF_ACTION, make_template(RIFFIAN, "{N, +SG, -PL, +M, -F, -COL, +SING}"))
-    reg.register("riffian", NOUN_OF_ADDRESS, make_template(RIFFIAN, "{N, +SG, -PL, +M, -F, +COL, -SING}"))
-    return reg
+BUILTIN_INITIALS: Mapping[Tuple[str, str], Template] = MappingProxyType({
+    ("riffian", COUNTABLE): make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, -COL, +SING}"),
+    ("riffian", UNCOUNTABLE): make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, +COL, -SING}"),
+    ("riffian", NOUN_OF_ACTION): make_template(RIFFIAN, "{N, +SG, -PL, +M, -F, -COL, +SING}"),
+    ("riffian", NOUN_OF_ADDRESS): make_template(RIFFIAN, "{N, +SG, -PL, +M, -F, +COL, -SING}"),
+})

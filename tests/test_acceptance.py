@@ -17,11 +17,11 @@ from tbmc.corpora import BUNDLED, fixture_path
 from tbmc.engine import GENDER_FLIP, shift_record, solve_operand, transfer
 from tbmc.lexicon import EdgeSpec, Formation, Item, new_state
 from tbmc.templates import (
+    BUILTIN_INITIALS,
     FRENCH,
     RIFFIAN,
     Opposition,
     canonical_render,
-    default_initials,
     enumerate_candidates,
     make_template,
 )
@@ -111,15 +111,14 @@ def test_criterion_3_chain_corpus(fig2, fig2_document):
     report(3, "11 chains, 22 template expectations, 0 mismatches")
 
 
-# -- 4: the estimation corpus recovers the initial-template registry ------------
+# -- 4: the estimation corpus recovers the built-in initial templates -----------
 
 def test_criterion_4_initial_template_recovery(table3):
     estimates = estimator.estimate_initial_templates(table3)
-    registry = default_initials()
     recovered = {e.cogset: e.winner for e in estimates if e.winner is not None}
     assert set(recovered) == {"C", "U", "NA"}
     for cogset, winner in recovered.items():
-        assert winner.body == registry.get("riffian", cogset).body
+        assert winner.body == BUILTIN_INITIALS[("riffian", cogset)].body
     assert all(not e.tie and not e.insufficient for e in estimates)
     report(4, "estimation recovers all three initial templates with no ties")
 
@@ -194,7 +193,7 @@ def test_criterion_7_properties(fig2):
 
     # randomized replay: the ledger balances and widening never reshapes
     rng = random.Random(20240 + 1)
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     cogsets = ["C", "U", "NA", "NAdr"]
     for i, text in enumerate(c for c in map(
             lambda b: "{" + ", ".join(sorted(b)) + "}", well_formed[:6])):

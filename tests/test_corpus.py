@@ -16,7 +16,7 @@ from tbmc.corpus import (
     validate,
 )
 from tbmc.lexicon import EdgeSpec, Formation, Item, LexiconState
-from tbmc.templates import FRENCH, RIFFIAN
+from tbmc.templates import BUILTIN_INITIALS, FRENCH, RIFFIAN
 
 HEADER = 'profile riffian category=N slots=[SG|PL, M|F, COL|SING]\n'
 GLAND = (
@@ -150,8 +150,28 @@ def test_corpus_initial_overrides_the_builtin():
     doc = parse(
         HEADER + "initial riffian.C = {N, +SG, -PL, +M, -F, -COL, +SING}\n")
     loaded = load(doc)
-    assert loaded.state.initials.get("riffian", "C").render() == \
+    assert loaded.state.initials[("riffian", "C")].render() == \
         "{N, +SG, -PL, +M, -F, -COL, +SING}"
+    # the override lives in this snapshot only
+    assert BUILTIN_INITIALS[("riffian", "C")].render() == "{N, +SG, -PL, -M, +F, -COL, +SING}"
+    assert load(parse(HEADER)).state.initials == BUILTIN_INITIALS
+
+
+def test_an_ill_formed_initial_is_reported_and_the_rest_loads():
+    loaded = load(parse(
+        HEADER
+        + "initial riffian.C = {N, +SG, -PL, +M, +F, -COL, +SING}\n"
+        + "initial riffian.U = {N, +SG, -PL, +M, -F, -COL, +SING}\n"
+        + 'item id=v lang=riffian radical="ndeh" gloss="to drive"\n'
+        + "derive id=c base=v via=MDERIV target=C\n"
+        + "derive id=u base=v via=MDERIV target=U\n"))
+    assert loaded.errors == [
+        "line 2: initial template for riffian.C is ill-formed: slot M|F: needs opposite polarities, one each"]
+    state = loaded.state
+    assert set(state.items) == {"v", "c", "u"}
+    assert state.initials[("riffian", "C")] == BUILTIN_INITIALS[("riffian", "C")]
+    assert engine.transfer(state, "c").template == BUILTIN_INITIALS[("riffian", "C")]
+    assert engine.transfer(state, "u").template.render() == "{N, +SG, -PL, +M, -F, -COL, +SING}"
 
 
 def test_declared_builtin_profiles_reuse_the_builtin_objects(fig2_document):

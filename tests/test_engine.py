@@ -41,10 +41,10 @@ from tbmc.lexicon import (
     new_state,
 )
 from tbmc.templates import (
+    BUILTIN_INITIALS,
     RIFFIAN,
     InitialTemplateError,
     LanguageProfile,
-    default_initials,
     enumerate_candidates,
     make_template,
 )
@@ -114,7 +114,7 @@ def test_head_transfer_reports_itself(fig2):
 
 def test_empty_record_has_no_template():
     with pytest.raises(InputHeadError, match="input head"):
-        apply_gradient(EMPTY_RECORD, RIFFIAN, default_initials())
+        apply_gradient(EMPTY_RECORD, RIFFIAN, BUILTIN_INITIALS)
 
 
 def test_animate_conversion_keeps_the_template():
@@ -122,7 +122,7 @@ def test_animate_conversion_keeps_the_template():
         process=Formation.CONVERSION,
         base_template=rt("{N, +SG, -PL, +M, -F, +COL, -SING}"),
         target="C", base_id="mieis_1", animate=True, stratum=2)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R2"
     assert result.template.body == record.base_template.body
     assert result.operand == frozenset()
@@ -132,7 +132,7 @@ def test_widening_keeps_the_template_even_across_sets():
     record = ShiftRecord(
         process=Formation.WIDENING,
         base_template=U_INITIAL, target="C", base_id="saa_1", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R2"
     assert result.template.body == U_INITIAL.body
 
@@ -141,7 +141,7 @@ def test_inanimate_conversion_flips_the_gender():
     record = ShiftRecord(
         process=Formation.CONVERSION, base_template=NA_INITIAL,
         target="U", base_id="x", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R1"
     assert result.operand == GENDER_FLIP
     assert result.template.render() == "{N, +SG, -PL, -M, +F, -COL, +SING}"
@@ -151,13 +151,13 @@ def test_borrowing_assigns_the_initial_with_donor_gender():
     record = ShiftRecord(
         process=Formation.BORROWING, base_template=None, target="U",
         base_id=None, donor_gender="M", stratum=0)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R5"
     assert result.template.render() == "{N, +SG, -PL, +M, -F, +COL, -SING}"
     feminine = ShiftRecord(
         process=Formation.BORROWING, base_template=None, target="U",
         base_id=None, donor_gender="F", stratum=0)
-    assert apply_gradient(feminine, RIFFIAN, default_initials()).template.body == \
+    assert apply_gradient(feminine, RIFFIAN, BUILTIN_INITIALS).template.body == \
         U_INITIAL.body
 
 
@@ -165,13 +165,13 @@ def test_borrowing_without_donor_gender_errors():
     record = ShiftRecord(process=Formation.BORROWING, base_template=None,
                          target="U", base_id=None, stratum=0)
     with pytest.raises(ShiftError, match="donor gender"):
-        apply_gradient(record, RIFFIAN, default_initials())
+        apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
 
 
 def test_derivation_assigns_the_target_initial():
     record = ShiftRecord(process=Formation.DERIVATION, base_template=NA_INITIAL,
                          target="C", base_id="x", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R4"
     assert result.template.render() == "{N, +SG, -PL, -M, +F, -COL, +SING}"
 
@@ -179,7 +179,7 @@ def test_derivation_assigns_the_target_initial():
 def test_conversion_from_a_verb_base_assigns_the_initial():
     record = ShiftRecord(process=Formation.CONVERSION, base_template=None,
                          target="U", base_id="some_verb", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R4"
     assert result.template.body == U_INITIAL.body
 
@@ -188,14 +188,14 @@ def test_unknown_target_set_has_no_initial():
     record = ShiftRecord(process=Formation.DERIVATION, base_template=None,
                          target="XYZ", base_id="v", stratum=1)
     with pytest.raises(KeyError, match="no initial template"):
-        apply_gradient(record, RIFFIAN, default_initials())
+        apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
 
 
 def test_widening_a_verb_finds_no_rule():
     record = ShiftRecord(process=Formation.WIDENING, base_template=None,
                          target="U", base_id="v", stratum=1)
     with pytest.raises(NoRuleError):
-        apply_gradient(record, RIFFIAN, default_initials())
+        apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
 
 
 def test_explicit_gradcond_overrides_the_table():
@@ -203,7 +203,7 @@ def test_explicit_gradcond_overrides_the_table():
         process=Formation.CONVERSION,
         base_template=rt("{N, +SG, -PL, +M, -F, +COL, -SING}"),
         target="C", base_id="refin_1", gradcond="R3", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials())
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
     assert result.rule_id == "R3"
     assert result.operand == frozenset(
         {"+M", "-M", "+F", "-F", "+COL", "-COL", "+SING", "-SING"})
@@ -214,7 +214,7 @@ def test_unknown_gradcond_errors():
     record = ShiftRecord(process=Formation.CONVERSION, base_template=NA_INITIAL,
                          target="C", base_id="x", gradcond="R99", stratum=1)
     with pytest.raises(NoRuleError, match="R99"):
-        apply_gradient(record, RIFFIAN, default_initials())
+        apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
 
 
 def test_gender_flip_is_an_involution():
@@ -225,7 +225,7 @@ def test_gender_flip_is_an_involution():
         record = ShiftRecord(process=Formation.CONVERSION,
                              base_template=rt("{" + ", ".join(sorted(body)) + "}"),
                              target="C", base_id="x", stratum=1)
-        shifted = apply_gradient(record, RIFFIAN, default_initials()).template.body
+        shifted = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS).template.body
         assert algebra.symmetric_difference(shifted, GENDER_FLIP) == body
 
 
@@ -315,8 +315,25 @@ def test_overlapping_triggers_are_rejected():
     b = GradRule(id="B", mode=DeltaOperand(fixed=GENDER_FLIP),
                  clauses=(Clause(processes=frozenset({Formation.CONVERSION}),
                                  animate=True),))
-    with pytest.raises(RegistryError, match="overlapping"):
+    with pytest.raises(RegistryError) as info:
         RuleRegistry((a, b))
+    assert str(info.value) == "rules A and B have overlapping triggers"
+
+
+@pytest.mark.parametrize("field", ["base_cogsets", "target_cogsets"])
+def test_a_clause_with_an_empty_cogset_set_overlaps_nothing(field):
+    never = Clause(processes=frozenset({Formation.CONVERSION}), **{field: frozenset()})
+    plain = Clause(processes=frozenset({Formation.CONVERSION}))
+    assert not never.overlaps(plain) and not plain.overlaps(never)
+    registry = RuleRegistry((
+        GradRule(id="A", mode=DeltaOperand(fixed=frozenset()), clauses=(never,)),
+        GradRule(id="B", mode=DeltaOperand(fixed=GENDER_FLIP), clauses=(plain,)),
+    ))
+    record = ShiftRecord(process=Formation.CONVERSION, base_template=NA_INITIAL, target="C",
+                         base_id="w", base_cogset="C", stratum=1)
+    assert not never.matches(record)
+    assert registry.select(record).id == "B"
+    assert RuleRegistry(DEFAULT_RULES.rules) == DEFAULT_RULES  # the built-in table still builds
 
 
 def test_shared_operands_are_rejected():
@@ -341,7 +358,7 @@ def test_custom_registry_is_honored():
     ))
     record = ShiftRecord(process=Formation.CONVERSION, base_template=NA_INITIAL,
                          target="U", base_id="w", stratum=1)
-    result = apply_gradient(record, RIFFIAN, default_initials(), always_initial)
+    result = apply_gradient(record, RIFFIAN, BUILTIN_INITIALS, always_initial)
     assert result.rule_id == "X1"
     assert result.template.body == U_INITIAL.body
 
@@ -349,7 +366,7 @@ def test_custom_registry_is_honored():
 # -- traces --------------------------------------------------------------------
 
 def test_trace_of_a_two_step_chain():
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="w1", language="riffian", radical="sam:er",
                                 cogset="U", template=U_INITIAL))
     state = state.apply_formation(EdgeSpec(
@@ -439,7 +456,7 @@ def test_unknown_item_errors(fig2):
 
 
 def test_cycle_detection_on_a_corrupted_state():
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     a = Item(id="a", language="riffian", radical="x", cogset="C")
     b = Item(id="b", language="riffian", radical="y", cogset="C")
     cyc = LexiconState(
@@ -537,7 +554,7 @@ def test_resolutions_share_templates_and_operands():
 
 
 def test_a_5000_deep_chain_resolves_lazily_without_recursion():
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="c0", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for k in range(1, 5000):
@@ -558,7 +575,7 @@ def _outcome_of(state, item_id):
 
 def test_concurrent_readers_of_one_snapshot_agree():
     def build():
-        state = new_state({"riffian": RIFFIAN}, default_initials())
+        state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
         # a failing chain: a head without a template, and nine items under it
         state = state.add_item(Item(id="f", language="riffian", radical="ka", cogset="C"))
         for k in range(1, 10):
@@ -610,7 +627,7 @@ def test_a_failure_is_resolved_once_and_raised_again_with_the_same_text(monkeypa
     steps = []
     gradient = engine.apply_gradient
     monkeypatch.setattr(engine, "apply_gradient", lambda *args: steps.append(args[0]) or gradient(*args))
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for edge in (
@@ -688,6 +705,19 @@ def test_what_if_adds_nothing_to_the_snapshot(fig2):
         derived_id="probe", process=Formation.WIDENING, base_id="sendu_2", gloss="more"))
     assert (item.id, record.stratum, result.rule_id) == ("probe", 3, "R2")
     assert tables() == before
+
+
+def test_one_snapshot_gives_an_edge_one_initial_template(fig2):
+    # a write to the initials would split the answers three ways: transfer's
+    # stored result, what_if's fresh step, and apply_formation's step-memo hit
+    with pytest.raises(TypeError):
+        fig2.initials[("riffian", "NA")] = U_INITIAL
+    assert not hasattr(fig2.initials, "register")
+    edge = replace(fig2.edges["razi_1"], derived_id="razi_x")
+    stored = transfer(fig2, "razi_1")
+    assert stored.rule_id == "R4" and stored.template == NA_INITIAL
+    assert what_if(fig2, edge)[2].template == stored.template
+    assert transfer(fig2.apply_formation(edge), "razi_x").template == stored.template
 
 
 def test_a_what_if_may_start_from_a_superseded_base(example1):
@@ -944,7 +974,7 @@ def test_trace_shows_superseded_bases_and_verb_heads(fig2):
 
 
 def _failing_chain():
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for edge in (

@@ -10,7 +10,7 @@ from tbmc.estimator import (
     render_report,
 )
 from tbmc.lexicon import Item, new_state
-from tbmc.templates import RIFFIAN, default_initials, make_template
+from tbmc.templates import BUILTIN_INITIALS, RIFFIAN, make_template
 
 C_INITIAL = "{N, +SG, -PL, -M, +F, -COL, +SING}"
 U_INITIAL = "{N, +SG, -PL, -M, +F, +COL, -SING}"
@@ -28,7 +28,7 @@ def estimate_for(estimates, cogset):
 
 
 def small_state(items):
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     for item in items:
         state = state.add_item(item)
     return state
@@ -47,10 +47,9 @@ def test_deverbal_sample_recovers_the_registry(table3):
 
 
 def test_winners_match_the_default_initials(table3):
-    registry = default_initials()
     for est in estimate_initial_templates(table3):
         if est.winner is not None:
-            assert est.winner.body == registry.get("riffian", est.cogset).body
+            assert est.winner.body == BUILTIN_INITIALS[("riffian", est.cogset)].body
 
 
 def test_singleton_group():

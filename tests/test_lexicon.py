@@ -1,5 +1,8 @@
 """Item store, formation ledger, supersession, and determinism."""
 
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 
 from tbmc.lexicon import (
@@ -10,13 +13,13 @@ from tbmc.lexicon import (
     LexiconState,
     new_state,
 )
-from tbmc.templates import RIFFIAN, default_initials, make_template
+from tbmc.templates import BUILTIN_INITIALS, FRENCH, RIFFIAN, make_template
 
 C_TEMPLATE = "{N, +SG, -PL, -M, +F, -COL, +SING}"
 
 
 def riffian_state():
-    return new_state({"riffian": RIFFIAN}, default_initials())
+    return new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
 
 
 def head(i, cogset="C", **kw):
@@ -232,7 +235,7 @@ def _snapshot(how, fig2):
     if how == "new_state":
         return riffian_state()
     if how == "constructor":
-        return LexiconState(profiles={"riffian": RIFFIAN}, initials=default_initials(),
+        return LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
                             items={"w0": head(0)}, edges={}, strata={"w0": 0})
     if how == "loaded":
         return fig2
@@ -242,7 +245,7 @@ def _snapshot(how, fig2):
 
 
 @pytest.mark.parametrize("how", ["new_state", "constructor", "loaded", "add_item", "apply_formation"])
-@pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles"])
+@pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles", "initials"])
 def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
     view = getattr(_snapshot(how, fig2), table)
     with pytest.raises(TypeError):
@@ -252,9 +255,26 @@ def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
             del view[key]
 
 
+def test_a_snapshot_has_no_writable_field(fig2):
+    # rules is a frozen registry; _resolved and _steps are the private memos
+    for state in (riffian_state(), fig2, five_item_state().apply_formation(conv("d1", "w0"))):
+        for f in dataclasses.fields(LexiconState):
+            if f.name not in ("rules", "_resolved", "_steps"):
+                assert type(getattr(state, f.name)) in (MappingProxyType, frozenset, tuple), f.name
+
+
+def test_new_state_copies_the_tables_it_is_given():
+    profiles, initials = {"riffian": RIFFIAN}, dict(BUILTIN_INITIALS)
+    state = new_state(profiles, initials)
+    profiles["french"] = FRENCH
+    initials[("riffian", "C")] = initials[("riffian", "U")]
+    del initials[("riffian", "NA")]
+    assert set(state.profiles) == {"riffian"}
+    assert state.initials == BUILTIN_INITIALS
+
 
 def test_the_constructor_freezes_what_it_is_given():
-    state = LexiconState(profiles={"riffian": RIFFIAN}, initials=default_initials(),
+    state = LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
                          items={"w0": head(0)}, superseded={"w0"}, warnings=["w"])
     assert type(state.superseded) is frozenset and state.warnings == ("w",)
     assert state.draft().freeze() == state

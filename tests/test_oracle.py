@@ -13,7 +13,7 @@ from tbmc.oracle import (
     verify_group_axioms,
     verify_operand_uniqueness,
 )
-from tbmc.templates import RIFFIAN, default_initials, make_template
+from tbmc.templates import BUILTIN_INITIALS, RIFFIAN, make_template
 
 
 def test_three_atom_universe_passes_with_full_triple_coverage():
@@ -121,7 +121,7 @@ def verify_ledger_replay(initial, specs):
 
 
 def _tiny_state():
-    state = new_state({"riffian": RIFFIAN}, default_initials())
+    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     return state.add_item(Item(
         id="w0", language="riffian", radical="rad", cogset="C",
         template=make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, -COL, +SING}")))

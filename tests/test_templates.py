@@ -5,17 +5,16 @@ import itertools
 import pytest
 
 from tbmc.templates import (
+    BUILTIN_INITIALS,
     BUILTIN_PROFILES,
     FRENCH,
     RIFFIAN,
     Free,
-    InitialTemplateError,
     LanguageProfile,
     Opposition,
     Template,
     TemplateError,
     canonical_render,
-    default_initials,
     enumerate_candidates,
     make_template,
     parse_template_text,
@@ -118,24 +117,19 @@ def test_same_profile_templates_share_inventory_and_cardinality():
     assert {len(c) for c in candidates} == {1 + len(RIFFIAN.feature_names())}
 
 
-def test_initial_registry_carries_the_recovered_templates():
-    registry = default_initials()
-    assert registry.get("riffian", "C").render() == "{N, +SG, -PL, -M, +F, -COL, +SING}"
-    assert registry.get("riffian", "U").render() == "{N, +SG, -PL, -M, +F, +COL, -SING}"
-    assert registry.get("riffian", "NA").render() == "{N, +SG, -PL, +M, -F, -COL, +SING}"
-    assert registry.get("riffian", "NAdr").render() == "{N, +SG, -PL, +M, -F, +COL, -SING}"
+def test_builtin_initials_carry_the_recovered_templates():
+    assert BUILTIN_INITIALS[("riffian", "C")].render() == "{N, +SG, -PL, -M, +F, -COL, +SING}"
+    assert BUILTIN_INITIALS[("riffian", "U")].render() == "{N, +SG, -PL, -M, +F, +COL, -SING}"
+    assert BUILTIN_INITIALS[("riffian", "NA")].render() == "{N, +SG, -PL, +M, -F, -COL, +SING}"
+    assert BUILTIN_INITIALS[("riffian", "NAdr")].render() == "{N, +SG, -PL, +M, -F, +COL, -SING}"
+    assert len(BUILTIN_INITIALS) == 4
 
 
-def test_unregistered_cognitive_set_errors():
-    registry = default_initials()
-    with pytest.raises(InitialTemplateError, match="no initial template"):
-        registry.get("riffian", "XYZ")
-
-
-def test_registry_rejects_ill_formed_entries():
-    registry = default_initials()
-    with pytest.raises(TemplateError):
-        registry.register("riffian", "C", Template(RIFFIAN, body("{N, +SG}")))
+def test_builtin_tables_are_read_only():
+    with pytest.raises(TypeError):
+        BUILTIN_PROFILES["klingon"] = RIFFIAN
+    with pytest.raises(TypeError):
+        BUILTIN_INITIALS[("riffian", "C")] = BUILTIN_INITIALS[("riffian", "U")]
 
 
 def test_profile_rejects_duplicate_features():
