@@ -54,7 +54,6 @@ from .lexicon import (
     LexiconState,
     VERB,
     formation_from_token,
-    new_state,
 )
 from .realizer import MISMATCH, OVERRIDE_USED, normalize_phonetic
 from .templates import (
@@ -617,11 +616,12 @@ class LoadResult:
     errors: List[str] = field(default_factory=list)
 
 
-def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
+def load(document: CorpusDocument) -> LoadResult:
     """Build a lexicon state from a parsed document.
 
-    The snapshot starts from copies of the read-only ``BUILTIN_PROFILES``
-    and ``BUILTIN_INITIALS``; corpus declarations override entries of the
+    The snapshot resolves under the built-in rules, ``engine.DEFAULT_RULES``,
+    and starts from copies of the read-only ``BUILTIN_PROFILES`` and
+    ``BUILTIN_INITIALS``; corpus declarations override entries of the
     copies, and a declaration equal to a built-in profile reuses the
     built-in object, with the tables it has filled.  An ``initial`` line
     whose template is ill-formed is reported and adds nothing.
@@ -660,7 +660,7 @@ def load(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) 
             else:
                 initials[(stmt.language, stmt.cogset)] = template
 
-    draft = new_state(profiles, initials, rules=rules).draft()
+    draft = LexiconState(profiles, initials).draft()
     for stmt in document.statements:
         try:
             if isinstance(stmt, ItemStmt):
@@ -756,14 +756,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(document: CorpusDocument, rules: Optional[engine.RuleRegistry] = None) -> ValidationReport:
+def validate(document: CorpusDocument) -> ValidationReport:
     """Load a document, read every item's resolution, and check all expectations.
 
     Template expectations compare canonical renderings of the expected and
     resolved bodies; surface expectations go through the realization audit,
     so overrides are reported as overrides and never as rule output.
     """
-    loaded = load(document, rules=rules)
+    loaded = load(document)
     state = loaded.state
     errors = list(loaded.errors)
     rows: List[CheckRow] = []
@@ -853,10 +853,10 @@ def serialize(document: CorpusDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_path(path, rules: Optional[engine.RuleRegistry] = None) -> LoadResult:
+def load_path(path) -> LoadResult:
     """Parse and load a corpus file; parse issues raise CorpusParseError."""
     with open(path, encoding="utf-8") as handle:
         document = parse(handle.read())
     if not document.ok:
         raise CorpusParseError(list(document.issues))
-    return load(document, rules=rules)
+    return load(document)

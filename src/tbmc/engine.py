@@ -23,7 +23,7 @@ Animacy is read off the derived item's referent: an animate base does not
 block the shift (courage from man), an animate derivative does (clever from
 clever one).  Rules resolve by first match over the declared order; the
 built-in triggers are pairwise disjoint, and a custom registry whose
-triggers can both fire on one record is rejected at load time.
+triggers can both fire on one record is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ class GradRule:
     id: str
     mode: RuleMode
     clauses: Tuple[Clause, ...] = ()
-    note: str = ""
 
     def matches(self, record: ShiftRecord) -> bool:
         return any(c.matches(record) for c in self.clauses)
@@ -221,7 +220,6 @@ DEFAULT_RULES = RuleRegistry((
             Clause(processes=frozenset({Formation.WIDENING}), base_has_template=True),
             Clause(processes=frozenset({Formation.CONVERSION}), animate=True, base_has_template=True),
         ),
-        note="stationary state: no template shift",
     ),
     GradRule(
         id="R1",
@@ -229,12 +227,10 @@ DEFAULT_RULES = RuleRegistry((
         clauses=(
             Clause(processes=frozenset({Formation.CONVERSION}), animate=False, base_has_template=True),
         ),
-        note="gender shift on noun-to-noun conversion",
     ),
     GradRule(
         id="R3",
         mode=DeltaOperand(fixed=GENDER_FLIP, flip=("COL", "SING")),
-        note="gender plus countability shift (corpus-annotated)",
     ),
     GradRule(
         id="R4",
@@ -243,13 +239,11 @@ DEFAULT_RULES = RuleRegistry((
             Clause(processes=frozenset({Formation.DERIVATION})),
             Clause(processes=frozenset({Formation.CONVERSION}), base_has_template=False),
         ),
-        note="entry into a cognitive set takes its initial template",
     ),
     GradRule(
         id="R5",
         mode=InitialAssign(use_donor_gender=True),
         clauses=(Clause(processes=frozenset({Formation.BORROWING})),),
-        note="borrowed items calque the donor gender",
     ),
 ))
 
@@ -377,8 +371,7 @@ def _resolve_edge(state: LexiconState, item: Item, edge: EdgeSpec,
                   base_template: Optional[Template]) -> Tuple[ShiftRecord, ShiftResult]:
     """One gradient step: the derived item's record and its resolution."""
     record = _record(state, edge, base_template)
-    rules = state.rules if state.rules is not None else DEFAULT_RULES
-    return record, apply_gradient(record, state.profile_for(item), state.initials, rules)
+    return record, apply_gradient(record, state.profile_for(item), state.initials)
 
 
 def _resolves_through(state: LexiconState, edge: Optional[EdgeSpec]) -> bool:
@@ -445,10 +438,11 @@ def _step(state: LexiconState, item_id: str):
 
     A successful gradient step depends only on its step key (the derived
     item's language, the edge's process, target and qualifiers, and the
-    base's template and cogset) and on the rules, profiles and initials of
-    the snapshot's lineage.  So it runs once per distinct key, and later
-    items with that key take the stored result with their own stratum.  A
-    failing step is never stored: its message names the item's own base.
+    base's template and cogset) and on the profiles and initials, which
+    are fixed along the snapshot's lineage.  So it runs once per distinct
+    key, and later items with that key take the stored result with their
+    own stratum.  A failing step is never stored: its message names the
+    item's own base.
     """
     edge = state.edges.get(item_id)
     item = state.items[item_id]
@@ -577,7 +571,7 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
     return done[root]
 
 
-def render_trace(node: TraceNode, indent: int = 0) -> str:
+def render_trace(node: TraceNode) -> str:
     """One line per node in depth-first order, children indented two spaces.
 
     Rendered iteratively over an explicit stack and joined once, so the
@@ -586,7 +580,7 @@ def render_trace(node: TraceNode, indent: int = 0) -> str:
     which skips the slower ``Enum.value`` descriptor.
     """
     lines: List[str] = []
-    stack = [(node, indent)]
+    stack = [(node, 0)]
     while stack:
         node, depth = stack.pop()
         shown = node.template.render() if node.template else "(no template)"

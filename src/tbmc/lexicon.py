@@ -29,13 +29,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .algebra import FeatureSet
 from .templates import LanguageProfile, Template
-
-if TYPE_CHECKING:  # engine imports this module
-    from .engine import RuleRegistry
 
 VERB = "V"
 
@@ -171,12 +168,12 @@ class LexiconState:
     (``types.MappingProxyType``), ``superseded`` is a frozenset and
     ``warnings`` a tuple, so nothing can change a snapshot once it is made.
     That holds however the snapshot is built: given a plain dict, a set or
-    a list, the constructor wraps the dict in a view and freezes the
-    others.  Every write happens in one builder,
-    :class:`Draft`: ``add_item`` and ``apply_formation`` on a snapshot make
-    a draft off it, insert, and freeze the draft into the successor; on a
-    draft they insert in place, which is how ``corpus.load`` builds its
-    snapshot.
+    a list, the constructor wraps a copy of the dict in a view and freezes
+    the others; a table given as a view is kept.  Every write happens in
+    one builder, :class:`Draft`: ``add_item`` and ``apply_formation`` on a
+    snapshot make a draft off it, insert, and freeze the draft into the
+    successor; on a draft they insert in place, which is how
+    ``corpus.load`` builds its snapshot.
 
     Beside the lexicon, a snapshot keeps two private maps, left out of the
     constructor, equality and repr, so ``dataclasses.replace`` starts both
@@ -188,12 +185,12 @@ class LexiconState:
       ``corpus.load`` resolves every noun item when it builds a snapshot,
       and ``add_item`` and ``apply_formation`` carry the parent's outcomes
       forward as a copy.  That is sound because an insert never changes an
-      existing item's outcome: bases precede derivatives, and rules,
-      profiles and initials are fixed per snapshot.
+      existing item's outcome: bases precede derivatives, and profiles
+      and initials are fixed along a lineage.
     * ``_steps``: the successful gradient steps met so far, by step key
       (see ``engine._step``).  A step depends only on its key and on the
-      rules, profiles and initials, which every snapshot along a lineage
-      shares, so drafts and successors share this map itself, uncopied.
+      profiles and initials, which are fixed along a lineage, so drafts
+      and successors share this map itself, uncopied.
     """
 
     profiles: Mapping[str, LanguageProfile]
@@ -203,7 +200,6 @@ class LexiconState:
     superseded: FrozenSet[str] = frozenset()
     strata: Mapping[str, int] = field(default_factory=dict)
     warnings: Tuple[str, ...] = ()
-    rules: Optional[RuleRegistry] = None  # engine default when None
     # item id -> engine.ShiftResult or (exception type, message), filled by
     # engine.transfer; see the class docstring
     _resolved: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -214,7 +210,7 @@ class LexiconState:
         for name in ("items", "edges", "strata", "profiles", "initials"):
             table = getattr(self, name)
             if type(table) is not MappingProxyType:
-                object.__setattr__(self, name, MappingProxyType(table))
+                object.__setattr__(self, name, MappingProxyType(dict(table)))
         if type(self.superseded) is not frozenset:
             object.__setattr__(self, "superseded", frozenset(self.superseded))
         if type(self.warnings) is not tuple:
@@ -286,7 +282,7 @@ class LexiconState:
         draft = Draft(
             profiles=self.profiles, initials=self.initials, items=self.items.copy(),
             edges=self.edges.copy(), superseded=self.superseded, strata=self.strata.copy(),
-            warnings=self.warnings, rules=self.rules)
+            warnings=self.warnings)
         draft._resolved, draft._steps = self._resolved.copy(), self._steps
         return draft
 
@@ -297,6 +293,8 @@ class LexiconState:
         base) and writes nothing, so a what-if may start from a superseded
         base; ``apply_formation`` adds those two checks and the write.
         """
+        if spec.donor_gender is not None and spec.process is not Formation.BORROWING:
+            raise LexiconError(f"edge {spec.derived_id}: donor_gender is only meaningful on BORROW")
         base: Optional[Item] = None
         if spec.base_id is not None:
             if spec.base_id not in self.items:
@@ -352,15 +350,6 @@ class LexiconState:
         )
 
 
-def new_state(
-    profiles: Mapping[str, LanguageProfile],
-    initials: Mapping[Tuple[str, str], Template],
-    rules: Optional[RuleRegistry] = None,
-) -> LexiconState:
-    """An empty snapshot over copies of ``profiles`` and ``initials``."""
-    return LexiconState(profiles=dict(profiles), initials=dict(initials), rules=rules)
-
-
 class Draft(LexiconState):
     """A snapshot under construction: the one place where tables are written.
 
@@ -383,8 +372,9 @@ class Draft(LexiconState):
 
     def freeze(self) -> LexiconState:
         state = LexiconState(
-            profiles=self.profiles, initials=self.initials, items=self.items, edges=self.edges,
-            superseded=self.superseded, strata=self.strata, warnings=self.warnings, rules=self.rules)
+            profiles=self.profiles, initials=self.initials, items=MappingProxyType(self.items),
+            edges=MappingProxyType(self.edges), superseded=self.superseded,
+            strata=MappingProxyType(self.strata), warnings=self.warnings)
         object.__setattr__(state, "_resolved", self._resolved)
         object.__setattr__(state, "_steps", self._steps)
         return state

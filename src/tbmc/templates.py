@@ -200,22 +200,17 @@ def render_assignment(body: FeatureSet, profile: LanguageProfile) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def render_operand(operand: FeatureSet, profile: Optional[LanguageProfile] = None) -> str:
+def render_operand(operand: FeatureSet, profile: LanguageProfile) -> str:
     """Render a category-free operand set like ``{+M, -M, +F, -F}``.
 
-    Features follow profile declaration order when a profile is given and
-    covers them, alphabetical order otherwise; within one feature the
-    positive member comes first.
+    The operand lies within the profile's inventory, as a successful
+    gradient step's and a solved operand always do.  Features follow
+    profile declaration order; within one feature the positive member
+    comes first.
     """
-    names = []
-    if profile is not None:
-        names = [n for n in profile.feature_names() if {POSITIVE + n, NEGATIVE + n} & operand]
-    covered = {algebra.base_of(a) for a in operand if algebra.is_signed(a)}
-    names.extend(sorted(covered - set(names)))
     parts = []
-    for name in names:
+    for name in profile.feature_names():
         parts.extend(p + name for p in (POSITIVE, NEGATIVE) if p + name in operand)
-    parts.extend(sorted(a for a in operand if algebra.is_category(a)))
     return "{" + ", ".join(parts) + "}"
 
 
@@ -237,9 +232,9 @@ def parse_template_text(text: str) -> FeatureSet:
     return frozenset(atoms)
 
 
-def make_template(profile: LanguageProfile, text_or_body) -> Template:
-    """Build and validate a Template from text or a ready feature set."""
-    body = parse_template_text(text_or_body) if isinstance(text_or_body, str) else frozenset(text_or_body)
+def make_template(profile: LanguageProfile, text: str) -> Template:
+    """Build and validate a Template from text like ``{N, +SG, -PL, ...}``."""
+    body = parse_template_text(text)
     t = Template(profile, body)
     problems = t.violations()
     if problems:

@@ -15,7 +15,7 @@ from tbmc import algebra, corpus, estimator, oracle, realizer
 from tbmc.cli import main
 from tbmc.corpora import BUNDLED, fixture_path
 from tbmc.engine import GENDER_FLIP, shift_record, solve_operand, transfer
-from tbmc.lexicon import EdgeSpec, Formation, Item, new_state
+from tbmc.lexicon import EdgeSpec, Formation, Item, LexiconState
 from tbmc.templates import (
     BUILTIN_INITIALS,
     FRENCH,
@@ -193,7 +193,7 @@ def test_criterion_7_properties(fig2):
 
     # randomized replay: the ledger balances and widening never reshapes
     rng = random.Random(20240 + 1)
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     cogsets = ["C", "U", "NA", "NAdr"]
     for i, text in enumerate(c for c in map(
             lambda b: "{" + ", ".join(sorted(b)) + "}", well_formed[:6])):

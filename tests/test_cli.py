@@ -216,7 +216,10 @@ def test_derive_ad_hoc_to_a_verb_exits_two_like_the_corpus_path(tmp_path, capsys
     (("--base", "ieis_v", "--via", "CONV"), "edge (ad hoc from ieis_v): no target cognitive set"),
     (("--via", "BORROW"), "edge (ad hoc borrowing): borrowing needs an explicit language"),
     (("--via", "BORROW", "--lang", "xx"), "edge (ad hoc borrowing): no profile for language 'xx'"),
-], ids=["borrow-without-target", "verb-base-without-target", "borrow-without-lang", "unknown-lang"])
+    (("--base", "rgaz_1", "--via", "CONV", "--donor-gender", "M"),
+     "edge (ad hoc from rgaz_1): donor_gender is only meaningful on BORROW"),
+], ids=["borrow-without-target", "verb-base-without-target", "borrow-without-lang", "unknown-lang",
+        "donor-gender-off-borrow"])
 def test_derive_ad_hoc_input_errors_name_the_edge(capsys, argv, message):
     assert run(capsys, "derive", FIG2, *argv) == (2, "", message + "\n")
 

@@ -38,7 +38,6 @@ from tbmc.lexicon import (
     LexiconError,
     LexiconState,
     ShiftRecord,
-    new_state,
 )
 from tbmc.templates import (
     BUILTIN_INITIALS,
@@ -366,7 +365,7 @@ def test_custom_registry_is_honored():
 # -- traces --------------------------------------------------------------------
 
 def test_trace_of_a_two_step_chain():
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="w1", language="riffian", radical="sam:er",
                                 cogset="U", template=U_INITIAL))
     state = state.apply_formation(EdgeSpec(
@@ -432,8 +431,7 @@ def _render_trace_recursively(node, indent=0):
 def test_trace_rendering_matches_the_recursive_reference(fig2):
     for item_id in fig2.items:
         tree = trace(fig2, item_id)
-        for indent in (0, 3):
-            assert render_trace(tree, indent) == _render_trace_recursively(tree, indent)
+        assert render_trace(tree) == _render_trace_recursively(tree)
 
 
 def test_rendering_a_5000_deep_path_needs_no_recursion():
@@ -456,7 +454,7 @@ def test_unknown_item_errors(fig2):
 
 
 def test_cycle_detection_on_a_corrupted_state():
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     a = Item(id="a", language="riffian", radical="x", cogset="C")
     b = Item(id="b", language="riffian", radical="y", cogset="C")
     cyc = LexiconState(
@@ -517,7 +515,7 @@ def _by_transitions(state):
     profiles, so nothing is resolved and nothing is shared with ``state``."""
     profiles = {name: LanguageProfile(p.language, p.category, p.slots)
                 for name, p in state.profiles.items()}
-    cold = new_state(profiles, state.initials, rules=state.rules)
+    cold = LexiconState(profiles, state.initials)
     for item_id, item in state.items.items():
         edge = state.edges.get(item_id)
         cold = cold.add_item(item) if edge is None else cold.apply_formation(edge)
@@ -554,7 +552,7 @@ def test_resolutions_share_templates_and_operands():
 
 
 def test_a_5000_deep_chain_resolves_lazily_without_recursion():
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="c0", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for k in range(1, 5000):
@@ -575,7 +573,7 @@ def _outcome_of(state, item_id):
 
 def test_concurrent_readers_of_one_snapshot_agree():
     def build():
-        state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+        state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
         # a failing chain: a head without a template, and nine items under it
         state = state.add_item(Item(id="f", language="riffian", radical="ka", cogset="C"))
         for k in range(1, 10):
@@ -627,7 +625,7 @@ def test_a_failure_is_resolved_once_and_raised_again_with_the_same_text(monkeypa
     steps = []
     gradient = engine.apply_gradient
     monkeypatch.setattr(engine, "apply_gradient", lambda *args: steps.append(args[0]) or gradient(*args))
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for edge in (
@@ -780,11 +778,10 @@ def test_each_step_equals_the_gradient_map_of_its_record(fig2, example1, table3)
     written = corpus.load(corpus.parse(_step_corpus_text()))
     assert not written.errors
     for state in (fig2, example1, table3, written.state):
-        rules = state.rules if state.rules is not None else DEFAULT_RULES
         for item_id in [i for i in state.edges if state.items[i].category != "V"]:
             profile = state.profile_for(state.items[item_id])
             expected = _outcome_of_call(lambda: apply_gradient(
-                shift_record(state, item_id), profile, state.initials, rules))
+                shift_record(state, item_id), profile, state.initials))
             assert _outcome_of_call(lambda: transfer(state, item_id)) == expected, item_id
     state = written.state
     steps = [i for i in state.edges
@@ -863,14 +860,12 @@ def _answers(state):
 def test_a_replaced_snapshot_answers_like_a_fresh_load():
     with open(fixture_path("riffian_fig2"), encoding="utf-8") as handle:
         fig2_text = handle.read()
-    r4_only = RuleRegistry((DEFAULT_RULES.by_id("R4"),))
     # riffian.C takes the NA initial; the kab profile lists its slots in another order
     other_initial = fig2_text.replace("initial riffian.C = {N, +SG, -PL, -M, +F, -COL, +SING}",
                                       "initial riffian.C = {N, +SG, -PL, +M, -F, -COL, +SING}")
     other_slots = _KAB_TEXT.replace("slots=[SG|PL, M|F, COL|SING]", "slots=[M|F, SG|PL, COL|SING]")
     assert other_initial != fig2_text and other_slots != _KAB_TEXT
     cases = [
-        (fig2_text, "rules", corpus.load(corpus.parse(fig2_text), rules=r4_only).state),
         (fig2_text, "initials", corpus.load(corpus.parse(other_initial)).state),
         (_KAB_TEXT, "profiles", corpus.load(corpus.parse(other_slots)).state),
     ]
@@ -881,8 +876,6 @@ def test_a_replaced_snapshot_answers_like_a_fresh_load():
         assert replaced._resolved == {} and replaced._steps == {}, name
         assert _answers(replaced) == _answers(fresh) != before, name
         assert _answers(parent) == before, name
-    with pytest.raises(NoRuleError, match="no gradient rule triggers on"):
-        transfer(replace(corpus.load(corpus.parse(fig2_text)).state, rules=r4_only), "samer_2")
 
 
 # -- traces against a reference built from public calls ----------------------------
@@ -974,7 +967,7 @@ def test_trace_shows_superseded_bases_and_verb_heads(fig2):
 
 
 def _failing_chain():
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(id="h", language="riffian", radical="ka", cogset="C",
                                 template=NA_INITIAL))
     for edge in (

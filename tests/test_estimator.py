@@ -9,7 +9,7 @@ from tbmc.estimator import (
     estimate_initial_templates,
     render_report,
 )
-from tbmc.lexicon import Item, new_state
+from tbmc.lexicon import Item, LexiconState
 from tbmc.templates import BUILTIN_INITIALS, RIFFIAN, make_template
 
 C_INITIAL = "{N, +SG, -PL, -M, +F, -COL, +SING}"
@@ -28,7 +28,7 @@ def estimate_for(estimates, cogset):
 
 
 def small_state(items):
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     for item in items:
         state = state.add_item(item)
     return state

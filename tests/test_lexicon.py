@@ -1,17 +1,19 @@
 """Item store, formation ledger, supersession, and determinism."""
 
+import ast
 import dataclasses
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+from tbmc import lexicon
 from tbmc.lexicon import (
     EdgeSpec,
     Formation,
     Item,
     LexiconError,
     LexiconState,
-    new_state,
 )
 from tbmc.templates import BUILTIN_INITIALS, FRENCH, RIFFIAN, make_template
 
@@ -19,7 +21,7 @@ C_TEMPLATE = "{N, +SG, -PL, -M, +F, -COL, +SING}"
 
 
 def riffian_state():
-    return new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    return LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
 
 
 def head(i, cogset="C", **kw):
@@ -94,6 +96,18 @@ def test_superseded_base_cannot_derive():
         derived_id="d1", process=Formation.WIDENING, base_id="w0", target="U"))
     with pytest.raises(LexiconError, match="superseded"):
         state.apply_formation(conv("d2", "w0"))
+
+
+@pytest.mark.parametrize("process", [f for f in Formation if f is not Formation.BORROWING],
+                         ids=lambda f: f.value)
+def test_a_donor_gender_off_a_borrowing_is_rejected(process):
+    state = five_item_state()
+    spec = EdgeSpec(derived_id="d1", process=process, base_id="w0", target="U",
+                    radical="y", donor_gender="M")
+    with pytest.raises(LexiconError) as info:
+        state.apply_formation(spec)
+    assert str(info.value) == "edge d1: donor_gender is only meaningful on BORROW"
+    assert "d1" not in state.items
 
 
 def test_borrowing_needs_language_and_radical():
@@ -232,8 +246,6 @@ def test_live_count_ledger():
 
 
 def _snapshot(how, fig2):
-    if how == "new_state":
-        return riffian_state()
     if how == "constructor":
         return LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
                             items={"w0": head(0)}, edges={}, strata={"w0": 0})
@@ -244,7 +256,7 @@ def _snapshot(how, fig2):
     return five_item_state().apply_formation(conv("d1", "w0"))
 
 
-@pytest.mark.parametrize("how", ["new_state", "constructor", "loaded", "add_item", "apply_formation"])
+@pytest.mark.parametrize("how", ["constructor", "loaded", "add_item", "apply_formation"])
 @pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles", "initials"])
 def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
     view = getattr(_snapshot(how, fig2), table)
@@ -256,21 +268,28 @@ def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
 
 
 def test_a_snapshot_has_no_writable_field(fig2):
-    # rules is a frozen registry; _resolved and _steps are the private memos
+    # _resolved and _steps are the private memos
     for state in (riffian_state(), fig2, five_item_state().apply_formation(conv("d1", "w0"))):
         for f in dataclasses.fields(LexiconState):
-            if f.name not in ("rules", "_resolved", "_steps"):
+            if f.name not in ("_resolved", "_steps"):
                 assert type(getattr(state, f.name)) in (MappingProxyType, frozenset, tuple), f.name
 
 
-def test_new_state_copies_the_tables_it_is_given():
+def test_the_constructor_copies_the_tables_it_is_given():
+    built = five_item_state().apply_formation(conv("d1", "w0"))
     profiles, initials = {"riffian": RIFFIAN}, dict(BUILTIN_INITIALS)
-    state = new_state(profiles, initials)
+    items, edges, strata = dict(built.items), dict(built.edges), dict(built.strata)
+    state = LexiconState(profiles, initials, items=items, edges=edges, strata=strata)
     profiles["french"] = FRENCH
     initials[("riffian", "C")] = initials[("riffian", "U")]
     del initials[("riffian", "NA")]
+    items["w9"] = head(9)
+    del items["d1"], edges["d1"], strata["d1"]
+    strata["w0"] = 5
     assert set(state.profiles) == {"riffian"}
     assert state.initials == BUILTIN_INITIALS
+    assert state.items == built.items and state.edges == built.edges
+    assert state.strata == built.strata
 
 
 def test_the_constructor_freezes_what_it_is_given():
@@ -278,3 +297,15 @@ def test_the_constructor_freezes_what_it_is_given():
                          items={"w0": head(0)}, superseded={"w0"}, warnings=["w"])
     assert type(state.superseded) is frozenset and state.warnings == ("w",)
     assert state.draft().freeze() == state
+
+
+def test_the_lexicon_imports_nothing_from_the_engine():
+    # the engine builds on the lexicon, so not even a type hint may point back
+    imported = []
+    for node in ast.walk(ast.parse(Path(lexicon.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            imported.extend(f"{package.rstrip('.')}.{alias.name}" for alias in node.names)
+    assert imported and not [name for name in imported if "engine" in name.split(".")]

@@ -3,7 +3,7 @@
 import pytest
 
 from tbmc import algebra, oracle
-from tbmc.lexicon import EdgeSpec, Formation, Item, new_state
+from tbmc.lexicon import EdgeSpec, Formation, Item, LexiconState
 from tbmc.oracle import (
     UniverseTooLarge,
     VerificationResult,
@@ -121,7 +121,7 @@ def verify_ledger_replay(initial, specs):
 
 
 def _tiny_state():
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     return state.add_item(Item(
         id="w0", language="riffian", radical="rad", cogset="C",
         template=make_template(RIFFIAN, "{N, +SG, -PL, -M, +F, -COL, +SING}")))
@@ -140,7 +140,7 @@ def test_ledger_step_for_each_process():
 
 def test_ledger_replay_over_the_fig2_corpus(fig2):
     # rebuild the pre-derivation state, then replay the recorded edges
-    heads = new_state(fig2.profiles, fig2.initials)
+    heads = LexiconState(fig2.profiles, fig2.initials)
     for item_id, item in fig2.items.items():
         if item_id not in fig2.edges:
             heads = heads.add_item(item)

@@ -148,10 +148,10 @@ def test_audit_never_counts_an_override_as_a_rule_match(fig2, table3):
 
 
 def test_audit_reports_mismatches_loudly():
-    from tbmc.lexicon import new_state
+    from tbmc.lexicon import LexiconState
     from tbmc.templates import BUILTIN_INITIALS
 
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(
         id="bad", language="riffian", radical="qzin", cogset="C",
         template=SG_M, expected_surface="wrong"))
@@ -161,10 +161,10 @@ def test_audit_reports_mismatches_loudly():
 
 
 def test_rule_match_classification():
-    from tbmc.lexicon import new_state
+    from tbmc.lexicon import LexiconState
     from tbmc.templates import BUILTIN_INITIALS
 
-    state = new_state({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
     state = state.add_item(Item(
         id="dog", language="riffian", radical="qzin", cogset="C",
         template=SG_M, expected_surface="aqzin"))

@@ -170,8 +170,6 @@ def test_operand_rendering_follows_profile_order():
         frozenset({"+M", "-M", "+F", "-F", "+COL", "-COL", "+SING", "-SING"}), RIFFIAN
     ) == "{+M, -M, +F, -F, +COL, -COL, +SING, -SING}"
     assert render_operand(frozenset(), RIFFIAN) == "{}"
-    # without a profile: alphabetical fallback
-    assert render_operand(frozenset({"+b", "-a"})) == "{-a, +b}"
 
 
 def test_builtin_profile_registry():
