@@ -246,6 +246,9 @@ def test_live_count_ledger():
 
 
 def _snapshot(how, fig2):
+    if how == "new_state":
+        # a fresh snapshot: profiles and initials only, the other tables at their defaults
+        return riffian_state()
     if how == "constructor":
         return LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
                             items={"w0": head(0)}, edges={}, strata={"w0": 0})
@@ -256,7 +259,7 @@ def _snapshot(how, fig2):
     return five_item_state().apply_formation(conv("d1", "w0"))
 
 
-@pytest.mark.parametrize("how", ["constructor", "loaded", "add_item", "apply_formation"])
+@pytest.mark.parametrize("how", ["new_state", "constructor", "loaded", "add_item", "apply_formation"])
 @pytest.mark.parametrize("table", ["items", "edges", "strata", "profiles", "initials"])
 def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
     view = getattr(_snapshot(how, fig2), table)
