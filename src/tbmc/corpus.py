@@ -607,7 +607,7 @@ def _parse_derive(
 
 # -- loading -------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class LoadResult:
     """A loaded corpus: its lexicon snapshot and one ``line N: ...`` message
     per statement that ``load`` rejected."""
@@ -691,7 +691,7 @@ def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckRow:
     """One checked expectation: an item's expected and actual template or
     surface, and whether they match."""
@@ -704,7 +704,7 @@ class CheckRow:
     via: str  # rule id or audit classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """What ``validate`` found: input errors, one row per checked expectation,
     the snapshot's warnings, and its item and live counts."""

@@ -490,10 +490,11 @@ def solve_operand(base: Template, derived: Template) -> FeatureSet:
 
 # -- phylotemplatic traces ----------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TraceNode:
     """One item in a derivation tree, with the step that produced it; each
-    ``trace`` call builds its tree afresh."""
+    ``trace`` call builds its tree afresh.  Equality is identity and the repr
+    is ``object``'s, so neither recurses through ``children``."""
 
     item_id: str
     process: Optional[Formation]

@@ -97,6 +97,7 @@ class EdgeSpec:
     ``base_id`` is absent only for borrowings, which start their own chain.
     ``radical`` defaults to the base's (conversion and widening never change
     it; morphological derivation and borrowing usually supply one).
+    The derived item's meanings are ``{gloss}``, plus the base's on a widening.
     ``expect_template`` and ``expected_surface`` are corpus expectations
     carried along for validation, inert during derivation itself.
     """
@@ -108,7 +109,6 @@ class EdgeSpec:
     language: Optional[str] = None
     radical: Optional[str] = None
     gloss: Optional[str] = None
-    meanings: Optional[FrozenSet[str]] = None
     animate: bool = False
     donor_gender: Optional[str] = None
     gradcond: Optional[str] = None
@@ -191,6 +191,9 @@ class LexiconState:
       (see ``engine._step``).  A step depends only on its key and on the
       profiles and initials, which are fixed along a lineage, so drafts
       and successors share this map itself, uncopied.
+
+    A snapshot is shared, not copied: ``copy.copy`` shares its tables and
+    maps, and ``copy.deepcopy`` and ``pickle`` raise ``TypeError``.
     """
 
     profiles: Mapping[str, LanguageProfile]
@@ -321,18 +324,9 @@ class LexiconState:
             raise LexiconError(f"edge {spec.derived_id}: no target cognitive set")
         category = VERB if target == VERB else "N"
 
-        meanings = spec.meanings
-        if meanings is None:
-            meanings = frozenset([spec.gloss]) if spec.gloss else frozenset()
-            if spec.process is Formation.WIDENING and base is not None:
-                meanings = base.meanings | meanings
+        meanings = frozenset([spec.gloss]) if spec.gloss else frozenset()
         if spec.process is Formation.WIDENING:
-            assert base is not None
-            if not (meanings <= base.meanings or base.meanings <= meanings):
-                raise LexiconError(
-                    f"edge {spec.derived_id}: widening needs comparable meaning sets "
-                    f"(base {sorted(base.meanings)} vs derived {sorted(meanings)})"
-                )
+            meanings = base.meanings | meanings
 
         return Item(
             id=spec.derived_id,

@@ -44,7 +44,7 @@ def all_subsets(atoms: Sequence[str]) -> List[FeatureSet]:
     return subsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationResult:
     """The outcome of one named check: how many cases it ran and, when it
     failed, the first counterexample."""

@@ -65,16 +65,15 @@ VOICELESS = ("ts", "tʃ", "t", "θ", "f", "s", "ʃ", "k", "q", "ħ", "χ")
 VOWELS_AND_GLIDES = ("a", "e", "i", "o", "u", "w", "j")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceForm:
-    """Assembled surface: labelled morphs, plain join, display hyphenation.
+    """Assembled surface: plain join and display hyphenation.
 
     ``hyphenated`` separates the prefix block (gender and countability fused)
     from the radical and sets number suffixes off with a hyphen; the
     feminine suffix stays attached, which is the dominant attested style.
     """
 
-    segments: Tuple[Tuple[str, str], ...]
     joined: str
     hyphenated: str
     from_override: bool = False
@@ -101,7 +100,6 @@ def realize(item: Item, template: Template) -> SurfaceForm:
     if item.surface_override is not None:
         given = normalize_phonetic(item.surface_override)
         return SurfaceForm(
-            segments=((given, "override"),),
             joined=given.replace("-", ""),
             hyphenated=given,
             from_override=True,
@@ -128,25 +126,14 @@ def realize(item: Item, template: Template) -> SurfaceForm:
     elif feminine and item.fem_suffix:
         fem_suffix = FEM_SUFFIX_POSTVOCALIC if radical.endswith(VOWELS_AND_GLIDES) else FEM_SUFFIX
 
-    segments: List[Tuple[str, str]] = []
-    if fem_prefix:
-        segments.append((fem_prefix, "fem-prefix"))
-    if count_prefix:
-        segments.append((count_prefix, "count-prefix"))
-    segments.append((radical, "radical"))
-    if fem_suffix:
-        segments.append((fem_suffix, "fem-suffix"))
-    if plural_suffix:
-        segments.append((plural_suffix, "plural-suffix"))
-
-    joined = "".join(morph for morph, _ in segments)
     prefix_block = fem_prefix + count_prefix
+    joined = prefix_block + radical + fem_suffix + plural_suffix
     hyphenated = radical + fem_suffix
     if prefix_block:
         hyphenated = prefix_block + "-" + hyphenated
     if plural_suffix:
         hyphenated += "-" + plural_suffix
-    return SurfaceForm(segments=tuple(segments), joined=joined, hyphenated=hyphenated)
+    return SurfaceForm(joined=joined, hyphenated=hyphenated)
 
 
 RULE_MATCH = "rule-match"

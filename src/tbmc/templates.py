@@ -139,16 +139,20 @@ def validate(body: FeatureSet, profile: LanguageProfile) -> List[str]:
             if len(_slot_signs(body, slot.name)) != 1:
                 problems.append(f"slot {slot.name}: needs exactly one polarity")
     if not problems:
-        parts = [profile.category]
-        for name in profile.feature_names():
-            parts.append((POSITIVE if POSITIVE + name in body else NEGATIVE) + name)
+        text = "{" + ", ".join([profile.category, *_signed_in_order(body, profile)]) + "}"
         # first writer wins, so concurrent validations share one Template
-        profile._shared.setdefault(body, (Template(profile, body), "{" + ", ".join(parts) + "}"))
+        profile._shared.setdefault(body, (Template(profile, body), text))
     return problems
 
 
 def _slot_signs(body: FeatureSet, name: str) -> List[str]:
     return [p for p in (POSITIVE, NEGATIVE) if p + name in body]
+
+
+def _signed_in_order(atoms: FeatureSet, profile: LanguageProfile) -> List[str]:
+    """The signed atoms of ``atoms`` in profile order, ``+`` before ``-`` per feature."""
+    return [p + name for name in profile.feature_names()
+            for p in (POSITIVE, NEGATIVE) if p + name in atoms]
 
 
 def canonical_render(body: FeatureSet, profile: LanguageProfile) -> str:
@@ -194,10 +198,7 @@ def render_assignment(body: FeatureSet, profile: LanguageProfile) -> str:
 
     Used by the candidate enumeration, whose space is mostly ill-formed.
     """
-    parts = [profile.category]
-    for name in profile.feature_names():
-        parts.extend(p + name for p in (POSITIVE, NEGATIVE) if p + name in body)
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join([profile.category, *_signed_in_order(body, profile)]) + "}"
 
 
 def render_operand(operand: FeatureSet, profile: LanguageProfile) -> str:
@@ -208,10 +209,7 @@ def render_operand(operand: FeatureSet, profile: LanguageProfile) -> str:
     profile declaration order; within one feature the positive member
     comes first.
     """
-    parts = []
-    for name in profile.feature_names():
-        parts.extend(p + name for p in (POSITIVE, NEGATIVE) if p + name in operand)
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(_signed_in_order(operand, profile)) + "}"
 
 
 def parse_template_text(text: str) -> FeatureSet:
@@ -260,11 +258,8 @@ def enumerate_candidates(profile: LanguageProfile, well_formed_only: bool = Fals
     return out
 
 
-class InitialTemplateError(TemplateError, KeyError):
-    """No initial template is given for a language and cognitive set."""
-
-    # KeyError's str() would quote the message
-    __str__ = ValueError.__str__
+class InitialTemplateError(TemplateError):
+    """No initial template is given for a language and cognitive set; a ``ValueError``."""
 
 
 # -- built-in profiles and defaults ------------------------------------------

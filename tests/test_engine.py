@@ -1,5 +1,7 @@
 """Gradient rules, the transfer map, operand solving, and traces."""
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -8,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from tbmc import algebra, corpus, engine
+from tbmc.cli import main
 from tbmc.corpora import fixture_path
 from tbmc.engine import (
     Clause,
@@ -186,7 +189,7 @@ def test_conversion_from_a_verb_base_assigns_the_initial():
 def test_unknown_target_set_has_no_initial():
     record = ShiftRecord(process=Formation.DERIVATION, base_template=None,
                          target="XYZ", base_id="v", stratum=1)
-    with pytest.raises(KeyError, match="no initial template"):
+    with pytest.raises(InitialTemplateError, match="no initial template"):
         apply_gradient(record, RIFFIAN, BUILTIN_INITIALS)
 
 
@@ -564,6 +567,26 @@ def test_a_5000_deep_chain_resolves_lazily_without_recursion():
     assert len(state._resolved) == 5000
 
 
+def test_a_1000_deep_trace_compares_prints_and_renders_at_the_default_limit(tmp_path, capsys):
+    path = tmp_path / "deep.tbmc"
+    path.write_text(_deep_corpus_text(depth=1000, chains=1), encoding="utf-8")
+    state = corpus.load_path(str(path)).state
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree = trace(state, "h0_1000")
+        assert tree == tree and tree != trace(state, "h0_1000")  # equality is identity
+        assert repr(tree).startswith("<tbmc.engine.TraceNode object at ")
+        lines = render_trace(tree).split("\n")
+        assert main(["trace", str(path), "h0_1000", "--format", "records"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    records = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(records) == 1001
+    assert lines[-1].startswith(" " * 2000 + "h0_1000  [")
+    assert records[-1].startswith("id=h0_1000\tdepth=1000\tstratum=1000\t")
+
+
 def _outcome_of(state, item_id):
     try:
         return _key(transfer(state, item_id))
@@ -878,11 +901,22 @@ def test_a_replaced_snapshot_answers_like_a_fresh_load():
         assert _answers(parent) == before, name
 
 
+def test_a_snapshot_is_shared_not_copied(fig2):
+    shallow = copy.copy(fig2)
+    assert shallow == fig2 and shallow.items is fig2.items
+    assert shallow._resolved is fig2._resolved and shallow._steps is fig2._steps
+    assert _answers(shallow) == _answers(fig2)
+    assert render_trace(trace(shallow, "rgaz_1")) == render_trace(trace(fig2, "rgaz_1"))
+    for deep_copy in (copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match="mappingproxy"):
+            deep_copy(fig2)
+
+
 # -- traces against a reference built from public calls ----------------------------
 
 def _flat(node):
-    """A tree's nodes as rows in depth-first order, walked without recursion
-    and without ``TraceNode.__eq__``, which recurses."""
+    """A tree's nodes as rows in depth-first order, walked without recursion.
+    ``TraceNode`` equality is identity, so trees are compared as rows."""
     rows, stack = [], [(node, 0)]
     while stack:
         node, depth = stack.pop()

@@ -132,14 +132,6 @@ def test_non_borrow_needs_a_base():
             language="riffian", radical="x"))
 
 
-def test_widening_meanings_must_be_comparable():
-    state = five_item_state()
-    with pytest.raises(LexiconError, match="comparable"):
-        state.apply_formation(EdgeSpec(
-            derived_id="d1", process=Formation.WIDENING, base_id="w0", target="U",
-            meanings=frozenset({"unrelated"})))
-
-
 def test_widening_direction_is_flagged_not_fatal():
     state = five_item_state()
     after = state.apply_formation(EdgeSpec(
@@ -149,7 +141,7 @@ def test_widening_direction_is_flagged_not_fatal():
     # equal meaning sets draw no warning
     again = five_item_state().apply_formation(EdgeSpec(
         derived_id="d2", process=Formation.WIDENING, base_id="w1", target="U",
-        meanings=frozenset({"sense1"})))
+        gloss="sense1"))
     assert again.warnings == ()
 
 

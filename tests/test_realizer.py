@@ -49,11 +49,11 @@ def test_cow_and_cream():
 
 def test_suffix_allomorph_follows_the_final_segment():
     # vowel- and glide-final radicals take the spirant, consonants the stop
-    assert realize(item("sendu"), SG_F).segments[-1][0] == "θ"
-    assert realize(item("venzaj"), SG_F).segments[-1][0] == "θ"
-    assert realize(item("nedhiw"), SG_F).segments[-1][0] == "θ"
-    assert realize(item("funas"), SG_F).segments[-1][0] == "t"
-    assert realize(item("qzin"), SG_F).segments[-1][0] == "t"
+    assert realize(item("sendu"), SG_F).joined.endswith("uθ")
+    assert realize(item("venzaj"), SG_F).joined.endswith("jθ")
+    assert realize(item("nedhiw"), SG_F).joined.endswith("wθ")
+    assert realize(item("funas"), SG_F).joined.endswith("st")
+    assert realize(item("qzin"), SG_F).joined.endswith("nt")
 
 
 def test_prefix_allomorph_follows_the_next_segment():
@@ -74,13 +74,12 @@ def test_null_exponence():
 def test_allomorphy_is_local():
     base = realize(item("sendu"), SG_F)
     reshaped_tail = realize(item("sendur"), SG_F)
-    assert base.segments[0][0] == reshaped_tail.segments[0][0]  # prefix unmoved
-    assert base.segments[-1][0] != reshaped_tail.segments[-1][0]
+    assert base.hyphenated == "ða-senduθ"
+    assert reshaped_tail.hyphenated == "ða-sendurt"  # prefix unmoved
     fronted = realize(item("nendu"), COL_F)
     hardened = realize(item("tendu"), COL_F)
-    assert fronted.segments[0][0] == "ð"
-    assert hardened.segments[0][0] == "t"
-    assert fronted.segments[-1][0] == hardened.segments[-1][0]  # suffix unmoved
+    assert fronted.joined == "ðnenduθ"
+    assert hardened.joined == "ttenduθ"  # suffix unmoved
 
 
 def test_asymmetric_encoding_switches():
