@@ -134,6 +134,9 @@ def cmd_derive(args) -> Output:
     if args.item is not None:
         if args.base or args.via:
             raise ValueError("give either an item id or --base/--via, not both")
+        for flag in ("target", "animate", "donor_gender", "gradcond", "lang"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} applies only to an ad-hoc derivation")
         result = engine.transfer(state, args.item)
         record = engine.shift_record(state, args.item)
         surface = _surface_for(state.items[args.item], result)
@@ -187,21 +190,16 @@ def cmd_solve(args) -> Output:
 # -- trace ----------------------------------------------------------------
 
 def cmd_trace(args) -> Output:
-    tree = engine.trace(_load_corpus(args.corpus).state, args.item)
+    nodes = engine.trace(_load_corpus(args.corpus).state, args.item)
     if args.format != "records":
-        return OK, f"{engine.render_trace(tree)}\n", ""
-    lines = []
-    stack = [(tree, 0)]  # depth-first, first child first, as render_trace
-    while stack:
-        node, depth = stack.pop()
-        lines.append(_record([
-            ("id", node.item_id), ("depth", depth), ("stratum", node.stratum),
-            ("step", node.process.value if node.process else "head"),
-            ("rule", node.rule_id or "-"),
-            ("template", node.template.render() if node.template else "-"),
-            ("live", "false" if node.superseded else "true"),
-        ]))
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+        return OK, f"{engine.render_trace(nodes)}\n", ""
+    lines = [_record([
+        ("id", node.item_id), ("depth", node.depth), ("stratum", node.stratum),
+        ("step", node.process.value if node.process else "head"),
+        ("rule", node.rule_id or "-"),
+        ("template", node.template.render() if node.template else "-"),
+        ("live", "false" if node.superseded else "true"),
+    ]) for node in nodes]
     return OK, _text(lines), ""
 
 
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base")
     p.add_argument("--via", choices=[f.value for f in Formation])
     p.add_argument("--target")
-    p.add_argument("--animate", choices=("true", "false"), default="false")
+    p.add_argument("--animate", choices=("true", "false"))
     p.add_argument("--donor-gender", choices=("M", "F"))
     p.add_argument("--gradcond")
     p.add_argument("--lang")

@@ -92,7 +92,6 @@ class ProfileStmt:
     """A ``profile`` line and the profile it declares: the built-in profile
     object when the two are equal, so its filled tables are reused."""
 
-    line: int
     profile: LanguageProfile
 
 
@@ -530,7 +529,7 @@ def _parse_profile(rest: str, line: int, offset: int, issues: List[ParseIssue]) 
             issues.append(ParseIssue(line, col, str(exc)))
             return None
     builtin = BUILTIN_PROFILES.get(name)
-    return ProfileStmt(line=line, profile=builtin if builtin == profile else profile)
+    return ProfileStmt(profile=builtin if builtin == profile else profile)
 
 
 def _parse_initial(rest: str, line: int, offset: int, issues: List[ParseIssue]) -> Optional[InitialStmt]:

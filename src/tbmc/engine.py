@@ -29,7 +29,7 @@ triggers can both fire on one record is rejected when it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import algebra
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
@@ -492,9 +492,8 @@ def solve_operand(base: Template, derived: Template) -> FeatureSet:
 
 @dataclass(eq=False, repr=False)
 class TraceNode:
-    """One item in a derivation tree, with the step that produced it; each
-    ``trace`` call builds its tree afresh.  Equality is identity and the repr
-    is ``object``'s, so neither recurses through ``children``."""
+    """One row of a trace: an item, the step that produced it, and its depth
+    below the traced root.  Equality is identity and the repr is ``object``'s."""
 
     item_id: str
     process: Optional[Formation]
@@ -503,7 +502,7 @@ class TraceNode:
     stratum: int
     gloss: Optional[str]
     superseded: bool
-    children: Tuple["TraceNode", ...] = ()
+    depth: int
 
 
 def _chain(state: LexiconState, item_id: str) -> List[str]:
@@ -520,21 +519,21 @@ def _chain(state: LexiconState, item_id: str) -> List[str]:
         path.append(edge.base_id)
 
 
-def trace(state: LexiconState, item_id: str) -> TraceNode:
-    """The phylotemplatic tree rooted at an item's input head.
-
-    Called on a head, the result spans all of its descendants; called on a
-    derived item, it is the single path from the head down to that item,
-    built item first.  Children are ordered by id.  The chain is walked
-    before any node is built, so a cycle raises first.  Each node reads its
-    resolution from the snapshot's map, calling ``transfer`` only on a miss
-    or a stored failure, so a loaded snapshot traces at constant cost per node.
+def trace(state: LexiconState, item_id: str) -> Tuple[TraceNode, ...]:
+    """An item's phylotemplatic tree, as rows in depth-first order, children
+    by id: on a head, all of its descendants; on a derived item, the path
+    from its head down to it.  The chain is walked first, so a cycle raises
+    before any node is built.  Each node reads its resolution from the
+    snapshot's map, calling ``transfer`` only on a miss or a stored failure,
+    so a loaded snapshot traces at constant cost per node.  Nodes are built
+    item first on a path and children first in a tree, so a failing trace
+    raises what its first ``transfer`` on the way up raises.
     """
     path = _chain(state, item_id)
     items, edges, strata = state.items, state.edges, state.strata
     resolved, superseded = state._resolved, state.superseded
 
-    def node(current: str, children: Tuple[TraceNode, ...]) -> TraceNode:
+    def node(current: str, depth: int) -> TraceNode:
         item = items.get(current) or state.item(current)  # the latter raises on an unknown id
         edge = edges.get(current)
         if item.category == VERB:
@@ -545,50 +544,38 @@ def trace(state: LexiconState, item_id: str) -> TraceNode:
                 result = transfer(state, current)
             rule_id, template = result.rule_id, result.template
         return TraceNode(current, edge.process if edge else None, rule_id, template,
-                         strata[current], item.gloss, current in superseded, children)
+                         strata[current], item.gloss, current in superseded, depth)
 
-    root = path[-1]
-    if root != item_id:
-        built: Optional[TraceNode] = None
-        for current in path:
-            built = node(current, (built,) if built else ())
-        return built
+    if len(path) > 1:
+        return tuple(node(current, len(path) - 1 - k) for k, current in enumerate(path))[::-1]
     derived_of = {}
     for did, edge in edges.items():
         if edge.base_id is not None:
             derived_of.setdefault(edge.base_id, []).append(did)
-    # post-order over an explicit stack, first child first, so a tree of any
-    # depth builds, and nodes are made in the recursive order
-    done: Dict[str, TraceNode] = {}
-    stack: List[Tuple[str, Optional[List[str]]]] = [(root, None)]
+    # a visit reserves its slot and comes back, after its children, to fill it
+    rows: List[Optional[TraceNode]] = []
+    stack: List[Tuple[str, int, Optional[int]]] = [(item_id, 0, None)]
     while stack:
-        current, kids = stack.pop()
-        if kids is None:
-            kids = sorted(derived_of.get(current, []))
-            stack.append((current, kids))
-            stack.extend((k, None) for k in reversed(kids))
+        current, depth, slot = stack.pop()
+        if slot is None:
+            stack.append((current, depth, len(rows)))
+            rows.append(None)
+            kids = sorted(derived_of.get(current, ()), reverse=True)
+            stack.extend((kid, depth + 1, None) for kid in kids)
         else:
-            done[current] = node(current, tuple(done.pop(k) for k in kids))
-    return done[root]
+            rows[slot] = node(current, depth)
+    return tuple(rows)
 
 
-def render_trace(node: TraceNode) -> str:
-    """One line per node in depth-first order, children indented two spaces.
-
-    Rendered iteratively over an explicit stack and joined once, so the
-    depth of a tree is not limited by the Python stack.  A node costs one
-    template lookup and one line; the step reads the member's ``_value_``,
-    which skips the slower ``Enum.value`` descriptor.
-    """
+def render_trace(nodes: Sequence[TraceNode]) -> str:
+    """A trace's rows, one line each, indented two spaces per level of depth;
+    the step reads the member's ``_value_``, which skips the slower
+    ``Enum.value`` descriptor."""
     lines: List[str] = []
-    stack = [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for node in nodes:
         shown = node.template.render() if node.template else "(no template)"
         step = "head" if node.process is None else f"{node.process._value_} {node.rule_id or '-'}"
         mark = " superseded" if node.superseded else ""
         gloss = f" '{node.gloss}'" if node.gloss else ""
-        lines.append(f"{'  ' * depth}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}")
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
+        lines.append(f"{'  ' * node.depth}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}")
     return "\n".join(lines)

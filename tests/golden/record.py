@@ -48,6 +48,15 @@ item id=sol_1 lang=french radical="sol" cogset=C template={N, +SG, -PL, +M, -F, 
 derive id=sol_2 base=sol_1 via=MDERIV target=C
 derive id=sol_3 base=sol_2 via=CONV
 """
+# Two failures on one chain, so the transcript pins which one a trace
+# raises: ``f`` fails (X has no initial template), ``v`` is a verb off it,
+# and ``w`` fails on its own under the verb (Z has none).
+TWO_FAILURES = """\
+item id=h lang=riffian radical="ka" cogset=C template={N, +SG, -PL, +M, -F, -COL, +SING}
+derive id=f base=h via=MDERIV target=X
+derive id=v base=f via=CONV target=V
+derive id=w base=v via=MDERIV target=Z
+"""
 # what each hostile corpus of tests/test_cli.py is run through
 HOSTILE_COMMANDS = (("validate",), ("validate", "--format", "records"), ("derive", "c"),
                     ("trace", "a"), ("estimate",), ("derive", "--base", "a", "--via", "WIDEN"))
@@ -80,7 +89,7 @@ def decode(stored):
 def build():
     """The corpora of the transcript and the argv of each command, by name."""
     test_cli = _test_cli()
-    corpora = {"failing.tbmc": FAILING}
+    corpora = {"failing.tbmc": FAILING, "two-failures.tbmc": TWO_FAILURES}
     corpora.update((f"hostile-{name}.tbmc", _encode(text))
                    for name, text in test_cli._HOSTILE_CORPORA.items())
     commands = []
@@ -143,6 +152,13 @@ def build():
             add(f"failing/{command}-records/{item_id}", command, failing, item_id, "--format", "records")
     add("failing/what-if-off-a-failed-base", "derive", failing, "--base", "conv", "--via", "WIDEN")
     add("failing/what-if-off-a-resolved-base", "derive", failing, "--base", "ok_2", "--via", "CONV")
+    for item_id in ("h", "f", "v", "w"):
+        add(f"two-failures/trace/{item_id}", "trace", "{tmp}/two-failures.tbmc", item_id)
+        add(f"two-failures/trace-records/{item_id}", "trace", "{tmp}/two-failures.tbmc", item_id,
+            "--format", "records")
+    for flag, value in (("--target", "U"), ("--animate", "false"), ("--donor-gender", "M"),
+                        ("--gradcond", "R3"), ("--lang", "riffian")):
+        add(f"derive/item-with{flag}", "derive", fig2, "sendu_2", flag, value)
     return corpora, commands
 
 

@@ -224,6 +224,24 @@ def test_derive_ad_hoc_input_errors_name_the_edge(capsys, argv, message):
     assert run(capsys, "derive", FIG2, *argv) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--target", "U"), ("--animate", "false"), ("--animate", "true"), ("--donor-gender", "M"),
+    ("--gradcond", "R3"), ("--lang", "riffian"),
+])
+def test_derive_of_an_item_rejects_each_what_if_flag(capsys, flag, value):
+    message = f"{flag} applies only to an ad-hoc derivation\n"
+    assert run(capsys, "derive", FIG2, "sendu_2", flag, value) == (2, "", message)
+    # --base and --via keep their own message, whatever else is given
+    assert run(capsys, "derive", FIG2, "sendu_2", "--via", "CONV", flag, value) == (
+        2, "", "give either an item id or --base/--via, not both\n")
+
+
+def test_derive_ad_hoc_reads_an_explicit_animate_false_as_the_default(capsys):
+    argv = ("derive", FIG2, "--base", "sendu_1", "--via", "CONV", "--target", "U")
+    assert run(capsys, *argv, "--animate", "false") == run(capsys, *argv)
+    assert "rule: R2" in run(capsys, *argv, "--animate", "true")[1]
+
+
 def test_derive_unknown_item(capsys):
     code, _, err = run(capsys, "derive", FIG2, "ghost")
     assert code == 2

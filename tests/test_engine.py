@@ -373,37 +373,31 @@ def test_trace_of_a_two_step_chain():
                                 cogset="U", template=U_INITIAL))
     state = state.apply_formation(EdgeSpec(
         derived_id="w2", process=Formation.CONVERSION, base_id="w1", target="C"))
-    node = trace(state, "w2")
-    assert node.item_id == "w1"
+    node, child = trace(state, "w2")
+    assert node.item_id == "w1" and node.depth == 0
     assert node.rule_id == "head" and node.stratum == 0
     assert node.template.body == U_INITIAL.body
-    (child,) = node.children
-    assert child.item_id == "w2"
+    assert child.item_id == "w2" and child.depth == 1
     assert child.process is Formation.CONVERSION
     assert child.rule_id == "R1" and child.stratum == 1
 
 
 def test_trace_of_a_head_is_a_single_node(fig2):
-    node = trace(fig2, "kuh_1")
-    assert node.item_id == "kuh_1"
-    assert node.children and node.children[0].item_id == "kkuh_1"
-    lone = trace(fig2, "fad_1")
-    assert lone.item_id == "fad_1"
+    node, child = trace(fig2, "kuh_1")
+    assert (node.item_id, node.depth) == ("kuh_1", 0)
+    assert (child.item_id, child.depth) == ("kkuh_1", 1)
+    lone, *below = trace(fig2, "fad_1")
+    assert (lone.item_id, lone.depth) == ("fad_1", 0)
+    assert all(node.depth > 0 for node in below)  # one root
 
 
 def test_trace_path_versus_tree(fig2):
     path = trace(fig2, "mieis_2")
     # path from the verb head down to the requested item only
-    ids = []
-    node = path
-    while True:
-        ids.append(node.item_id)
-        if not node.children:
-            break
-        (node,) = node.children
-    assert ids == ["ieis_v", "mieis_1", "mieis_2"]
+    assert [(node.item_id, node.depth) for node in path] == [
+        ("ieis_v", 0), ("mieis_1", 1), ("mieis_2", 2)]
     tree = trace(fig2, "ieis_v")
-    assert {c.item_id for c in tree.children} == {"ieis_1", "mieis_1"}
+    assert [node.item_id for node in tree if node.depth == 1] == ["ieis_1", "mieis_1"]
 
 
 def test_every_fig2_item_traces_to_a_stratum_zero_root(fig2):
@@ -421,31 +415,44 @@ def test_trace_rendering_is_deterministic(fig2):
     assert "superseded" in text  # the widened-over intelligence reading
 
 
-def _render_trace_recursively(node, indent=0):
-    # the former recursive rendering, kept as the reference for the output bytes
+def _children(nodes, k):
+    """The rows of row ``k``'s children: the later rows one level deeper,
+    up to the next row no deeper than row ``k``."""
+    kids = []
+    for j in range(k + 1, len(nodes)):
+        if nodes[j].depth <= nodes[k].depth:
+            break
+        if nodes[j].depth == nodes[k].depth + 1:
+            kids.append(j)
+    return kids
+
+
+def _render_trace_recursively(nodes, k=0, indent=0):
+    # the former recursive rendering, kept as the reference for the output
+    # bytes: the indent counts levels of recursion, not the rows' depth
+    node = nodes[k]
     shown = node.template.render() if node.template else "(no template)"
     step = "head" if node.process is None else f"{node.process.value} {node.rule_id or '-'}"
     mark = " superseded" if node.superseded else ""
     gloss = f" '{node.gloss}'" if node.gloss else ""
     line = f"{'  ' * indent}{node.item_id}  [{step}, stratum {node.stratum}{mark}]  {shown}{gloss}"
-    return "\n".join([line, *(_render_trace_recursively(c, indent + 1) for c in node.children)])
+    return "\n".join([line, *(_render_trace_recursively(nodes, j, indent + 1)
+                              for j in _children(nodes, k))])
 
 
 def test_trace_rendering_matches_the_recursive_reference(fig2):
     for item_id in fig2.items:
-        tree = trace(fig2, item_id)
-        assert render_trace(tree) == _render_trace_recursively(tree)
+        nodes = trace(fig2, item_id)
+        assert render_trace(nodes) == _render_trace_recursively(nodes)
 
 
 def test_rendering_a_5000_deep_path_needs_no_recursion():
     template = rt("{N, +SG, -PL, -M, +F, -COL, +SING}")
-    node = None
-    for depth in range(5000, -1, -1):
-        node = TraceNode(
-            item_id=f"n{depth}", process=Formation.WIDENING if depth else None,
-            rule_id="R2" if depth else "head", template=template, stratum=depth,
-            gloss=None, superseded=False, children=(node,) if node else ())
-    lines = render_trace(node).split("\n")
+    nodes = tuple(TraceNode(
+        item_id=f"n{depth}", process=Formation.WIDENING if depth else None,
+        rule_id="R2" if depth else "head", template=template, stratum=depth,
+        gloss=None, superseded=False, depth=depth) for depth in range(5001))
+    lines = render_trace(nodes).split("\n")
     assert len(lines) == 5001
     assert lines[-1].startswith(" " * 10000 + "n5000  [WIDEN R2, stratum 5000]")
 
@@ -574,10 +581,11 @@ def test_a_1000_deep_trace_compares_prints_and_renders_at_the_default_limit(tmp_
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        tree = trace(state, "h0_1000")
-        assert tree == tree and tree != trace(state, "h0_1000")  # equality is identity
-        assert repr(tree).startswith("<tbmc.engine.TraceNode object at ")
-        lines = render_trace(tree).split("\n")
+        nodes = trace(state, "h0_1000")
+        head = nodes[0]
+        assert head == head and head != trace(state, "h0_1000")[0]  # equality is identity
+        assert repr(head).startswith("<tbmc.engine.TraceNode object at ")
+        lines = render_trace(nodes).split("\n")
         assert main(["trace", str(path), "h0_1000", "--format", "records"]) == 0
     finally:
         sys.setrecursionlimit(limit)
@@ -914,16 +922,12 @@ def test_a_snapshot_is_shared_not_copied(fig2):
 
 # -- traces against a reference built from public calls ----------------------------
 
-def _flat(node):
-    """A tree's nodes as rows in depth-first order, walked without recursion.
-    ``TraceNode`` equality is identity, so trees are compared as rows."""
-    rows, stack = [], [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        rows.append((depth, node.item_id, node.process, node.rule_id, node.template,
-                     node.stratum, node.gloss, node.superseded, len(node.children)))
-        stack.extend((child, depth + 1) for child in reversed(node.children))
-    return rows
+def _flat(nodes):
+    """A trace's nodes as tuples of their fields; ``TraceNode`` equality is
+    identity.  Depths in depth-first order fix the tree's shape, so the
+    rows need no count of children."""
+    return [(node.depth, node.item_id, node.process, node.rule_id, node.template,
+             node.stratum, node.gloss, node.superseded) for node in nodes]
 
 
 def _reference_rows(state, item_id):
@@ -950,7 +954,7 @@ def _reference_rows(state, item_id):
             rule_id, template = result.rule_id, result.template
         kids = sorted(children.get(current, []))
         rows.append((depth, current, edge.process if edge else None, rule_id, template,
-                     state.strata[current], item.gloss, not state.is_live(current), len(kids)))
+                     state.strata[current], item.gloss, not state.is_live(current)))
         stack.extend((kid, depth + 1) for kid in reversed(kids))
     return rows
 
@@ -969,11 +973,11 @@ def _assert_traces_match(state, item_ids, reference=None):
     (``state`` itself by default); each trace runs before its reference, so
     on a cold snapshot the trace does the resolving."""
     for item_id in item_ids:
-        tree = trace(state, item_id)
-        rows = _flat(tree)
+        nodes = trace(state, item_id)
+        rows = _flat(nodes)
         assert _first_difference(rows, _reference_rows(reference or state, item_id)) is None, item_id
         if max(row[0] for row in rows) < 100:  # the recursive reference's own depth limit
-            assert render_trace(tree) == _render_trace_recursively(tree), item_id
+            assert render_trace(nodes) == _render_trace_recursively(nodes), item_id
 
 
 def test_trace_agrees_with_a_reference_from_public_calls(fig2, example1, table3):
@@ -1029,6 +1033,28 @@ def test_tracing_a_failing_chain_raises_what_transfer_raises():
         assert _traced(cold, item_id) == failure, item_id  # the trace does the resolving
         assert _traced(warm, item_id) == failure, item_id
         assert _outcome_of(cold, item_id) == _outcome_of(warm, item_id)
+
+
+# ``f`` fails (X has no initial template), ``v`` is a verb off it, and ``w``
+# fails on its own under the verb (Z has none)
+_TWO_FAILURES = """\
+item id=h lang=riffian radical="ka" cogset=C template={N, +SG, -PL, +M, -F, -COL, +SING}
+derive id=f base=h via=MDERIV target=X
+derive id=v base=f via=CONV target=V
+derive id=w base=v via=MDERIV target=Z
+"""
+
+
+def test_a_trace_raises_the_failure_its_transfers_meet_first():
+    # a path builds its item first, so it raises what the item's transfer
+    # raises; a head's tree builds each node after its children, so w's
+    # failure comes before f's
+    x, z = ((InitialTemplateError, f"no initial template for cognitive set '{s}' in 'riffian'")
+            for s in "XZ")
+    warm = corpus.load(corpus.parse(_TWO_FAILURES)).state
+    for item_id, failure in (("h", z), ("f", x), ("v", x), ("w", z)):
+        assert _traced(_by_transitions(warm), item_id) == failure, item_id  # the trace resolves
+        assert _traced(warm, item_id) == failure, item_id
 
 
 def test_tracing_a_loaded_snapshot_runs_no_gradient_step(fig2, example1, table3, monkeypatch):
