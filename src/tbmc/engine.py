@@ -490,10 +490,10 @@ def solve_operand(base: Template, derived: Template) -> FeatureSet:
 
 # -- phylotemplatic traces ----------------------------------------------------
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class TraceNode:
     """One row of a trace: an item, the step that produced it, and its depth
-    below the traced root.  Equality is identity and the repr is ``object``'s."""
+    below the traced root.  Slotted; equality is identity, the repr ``object``'s."""
 
     item_id: str
     process: Optional[Formation]
@@ -505,37 +505,38 @@ class TraceNode:
     depth: int
 
 
-def _chain(state: LexiconState, item_id: str) -> List[str]:
-    """The item and its bases up to the chain's head, the item first."""
-    path = [item_id]
-    seen = {item_id}
-    while True:
-        edge = state.edges.get(path[-1])
+def _chain(state: LexiconState, item_id: str) -> List[Tuple[str, Optional[EdgeSpec]]]:
+    """The item and its bases up to the chain's head, the item first, each with
+    its edge.  An acyclic chain follows each edge at most once, so a walk longer
+    than ``len(state.edges)`` edges has met a cycle: the walk keeps no seen-set."""
+    edges = state.edges
+    edge = edges.get(item_id)
+    path = [(item_id, edge)]
+    for _ in range(len(edges) + 1):
         if edge is None or edge.base_id is None:
             return path
-        if edge.base_id in seen:
-            raise ShiftError(f"cycle detected while tracing {item_id!r}")
-        seen.add(edge.base_id)
-        path.append(edge.base_id)
+        current = edge.base_id
+        edge = edges.get(current)
+        path.append((current, edge))
+    raise ShiftError(f"cycle detected while tracing {item_id!r}")
 
 
 def trace(state: LexiconState, item_id: str) -> Tuple[TraceNode, ...]:
-    """An item's phylotemplatic tree, as rows in depth-first order, children
-    by id: on a head, all of its descendants; on a derived item, the path
-    from its head down to it.  The chain is walked first, so a cycle raises
-    before any node is built.  Each node reads its resolution from the
-    snapshot's map, calling ``transfer`` only on a miss or a stored failure,
-    so a loaded snapshot traces at constant cost per node.  Nodes are built
-    item first on a path and children first in a tree, so a failing trace
-    raises what its first ``transfer`` on the way up raises.
+    """An item's phylotemplatic tree, as rows in depth-first order, children by
+    id: on a head, all of its descendants; on a derived item, the path from its
+    head down to it.  The chain is walked first, so a cycle raises before any
+    node is built; the cycle test is ``_chain``'s edge-count bound.  Each node
+    reads its resolution from the snapshot's map, calling ``transfer`` only on a
+    miss or a stored failure, so a loaded snapshot traces at constant cost per
+    node.  Nodes are built item first on a path and children first in a tree, so
+    a failing trace raises what its first ``transfer`` on the way up raises.
     """
     path = _chain(state, item_id)
     items, edges, strata = state.items, state.edges, state.strata
     resolved, superseded = state._resolved, state.superseded
 
-    def node(current: str, depth: int) -> TraceNode:
+    def node(current: str, edge: Optional[EdgeSpec], depth: int) -> TraceNode:
         item = items.get(current) or state.item(current)  # the latter raises on an unknown id
-        edge = edges.get(current)
         if item.category == VERB:
             rule_id = template = None
         else:
@@ -547,7 +548,8 @@ def trace(state: LexiconState, item_id: str) -> Tuple[TraceNode, ...]:
                          strata[current], item.gloss, current in superseded, depth)
 
     if len(path) > 1:
-        return tuple(node(current, len(path) - 1 - k) for k, current in enumerate(path))[::-1]
+        top = len(path) - 1
+        return tuple([node(current, edge, top - k) for k, (current, edge) in enumerate(path)][::-1])
     derived_of = {}
     for did, edge in edges.items():
         if edge.base_id is not None:
@@ -563,17 +565,21 @@ def trace(state: LexiconState, item_id: str) -> Tuple[TraceNode, ...]:
             kids = sorted(derived_of.get(current, ()), reverse=True)
             stack.extend((kid, depth + 1, None) for kid in kids)
         else:
-            rows[slot] = node(current, depth)
+            rows[slot] = node(current, edges.get(current), depth)
     return tuple(rows)
 
 
 def render_trace(nodes: Sequence[TraceNode]) -> str:
-    """A trace's rows, one line each, indented two spaces per level of depth;
-    the step reads the member's ``_value_``, which skips the slower
-    ``Enum.value`` descriptor."""
+    """A trace's rows, one line each, indented two spaces per level of depth.
+    Each distinct template object is rendered once per call, keyed by ``id()``
+    (the rows keep it alive); the step reads the member's ``_value_``, which
+    skips the slower ``Enum.value`` descriptor."""
+    texts = {id(None): "(no template)"}
     lines: List[str] = []
     for node in nodes:
-        shown = node.template.render() if node.template else "(no template)"
+        shown = texts.get(id(node.template))
+        if shown is None:
+            shown = texts[id(node.template)] = node.template.render()
         step = "head" if node.process is None else f"{node.process._value_} {node.rule_id or '-'}"
         mark = " superseded" if node.superseded else ""
         gloss = f" '{node.gloss}'" if node.gloss else ""

@@ -159,6 +159,8 @@ def build():
     for flag, value in (("--target", "U"), ("--animate", "false"), ("--donor-gender", "M"),
                         ("--gradcond", "R3"), ("--lang", "riffian")):
         add(f"derive/item-with{flag}", "derive", fig2, "sendu_2", flag, value)
+    for flag in ("--target", "--lang"):
+        add(f"derive/what-if-empty{flag}", "derive", fig2, "--base", "sendu_1", "--via", "CONV", flag, "")
     return corpora, commands
 
 

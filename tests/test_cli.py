@@ -242,6 +242,14 @@ def test_derive_ad_hoc_reads_an_explicit_animate_false_as_the_default(capsys):
     assert "rule: R2" in run(capsys, *argv, "--animate", "true")[1]
 
 
+@pytest.mark.parametrize("flag", ["--target", "--lang"])
+def test_derive_ad_hoc_rejects_an_empty_target_or_language(capsys, flag):
+    # as a corpus line with ``target=`` fails to parse; --gradcond "" keeps its own message
+    argv = ("derive", FIG2, "--base", "sendu_1", "--via", "CONV")
+    assert run(capsys, *argv, flag, "") == (2, "", f"missing value for {flag}\n")
+    assert run(capsys, *argv, "--gradcond", "") == (2, "", "no gradient rule '' in the registry\n")
+
+
 def test_derive_unknown_item(capsys):
     code, _, err = run(capsys, "derive", FIG2, "ghost")
     assert code == 2

@@ -485,6 +485,37 @@ def test_cycle_detection_on_a_corrupted_state():
         transfer(cyc, "a")
 
 
+def test_a_cycle_reached_from_a_tail_is_detected_before_anything_resolves():
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    items = {i: Item(id=i, language="riffian", radical="x", cogset="C") for i in "xab"}
+    cyc = LexiconState(
+        profiles=state.profiles, initials=state.initials, items=items,
+        edges={derived: EdgeSpec(derived_id=derived, process=Formation.CONVERSION, base_id=base)
+               for derived, base in (("x", "a"), ("a", "b"), ("b", "a"))},
+        strata={"x": 2, "a": 1, "b": 0},
+    )
+    with pytest.raises(ShiftError) as raised:
+        trace(cyc, "x")
+    assert str(raised.value) == "cycle detected while tracing 'x'"
+    assert cyc._resolved == {}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 50])
+def test_a_snapshot_that_is_one_chain_traces_from_its_tip_without_a_false_cycle(depth):
+    # the walk from the tip follows every edge of the snapshot once: the
+    # longest walk that is not a cycle
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    state = state.add_item(Item(id="c0", language="riffian", radical="ka", cogset="C",
+                                template=NA_INITIAL))
+    for k in range(1, depth + 1):
+        state = state.apply_formation(EdgeSpec(
+            derived_id=f"c{k}", process=Formation.CONVERSION, base_id=f"c{k - 1}"))
+    assert len(state.edges) == depth
+    nodes = trace(state, f"c{depth}")
+    assert [(node.item_id, node.depth) for node in nodes] == [(f"c{k}", k) for k in range(depth + 1)]
+    assert nodes[-1].rule_id == "R1"
+
+
 # -- resolutions: filled at load, carried forward, filled lazily ----------------
 
 def _deep_corpus_text(depth=400, chains=3, seed=7):

@@ -51,3 +51,10 @@ def test_a_command_gives_its_recorded_output_in_a_child_interpreter(places, name
     got = {"exit": proc.returncode, "stdout": record.mask(proc.stdout.decode("utf-8"), places),
            "stderr": record.mask(proc.stderr.decode("utf-8"), places)}
     assert got == {k: entry[k] for k in ("exit", "stdout", "stderr")}
+
+
+def test_the_recorder_builds_the_commands_of_the_transcript():
+    # re-recording then adds, drops and renames no command; nothing is run here
+    corpora, commands = record.build()
+    assert corpora == TRANSCRIPT["corpora"]
+    assert sorted(commands) == sorted((entry["name"], entry["argv"]) for entry in TRANSCRIPT["commands"])
