@@ -144,7 +144,7 @@ def cmd_derive(args) -> Output:
 
     if not args.via or (not args.base and args.via != "BORROW"):
         raise ValueError("ad-hoc derivation needs --base and --via (BORROW may omit --base)")
-    for flag in ("target", "lang"):
+    for flag in ("base", "target", "lang"):
         if getattr(args, flag) == "":  # an empty value, rejected as on a corpus line
             raise ValueError(f"missing value for --{flag}")
     base = state.item(args.base) if args.base else None
@@ -152,7 +152,7 @@ def cmd_derive(args) -> Output:
     # the spell-out preview keeps the base's radical and feminine switches;
     # a borrowing without a base is never spelled out, so its radical is moot
     edge = EdgeSpec(
-        derived_id=label, process=Formation(args.via), base_id=args.base or None,
+        derived_id=label, process=Formation(args.via), base_id=args.base,
         target=args.target, language=args.lang,
         radical=base.radical if base else "",
         animate=args.animate == "true", donor_gender=args.donor_gender, gradcond=args.gradcond,

@@ -320,40 +320,32 @@ def apply_gradient(
 
 
 def shift_record(state: LexiconState, item_id: str) -> ShiftRecord:
-    """The retrospective determinant of an item (the backward map).
-
-    Input heads map to the EMPTY record.  For derived items the record holds
-    the base's resolved template, read through :func:`transfer`.
-    """
+    """The retrospective determinant of an item (the backward map): the EMPTY
+    record for an input head, its edge's record (``_record``) otherwise."""
     state.item(item_id)
     edge = state.edges.get(item_id)
-    if edge is None:
-        return EMPTY_RECORD
-    return _record(state, edge, _base_template(state, edge))
+    return EMPTY_RECORD if edge is None else _record(state, edge)
 
 
 def what_if(state: LexiconState, edge: EdgeSpec) -> Tuple[Item, ShiftRecord, ShiftResult]:
     """Derive one edge off a snapshot without adding it to the snapshot.
 
     Returns the item the edge would insert, its record and its resolution,
-    reached by the same step as a corpus ``derive`` line.  The ledger's checks
-    (a fresh id, a live base) do not apply, so a what-if may start from a
-    superseded base.
+    reached by ``_step``, the step of a corpus ``derive`` line: like
+    ``transfer``, it may add that step to the step memo, and it adds nothing
+    else.  The ledger's checks (a fresh id, a live base) do not apply, so a
+    what-if may start from a superseded base.
     """
-    base_template = _base_template(state, edge)
+    record = _record(state, edge)
     item = state.derived_item(edge)
-    record, result = _resolve_edge(state, item, edge, base_template)
-    return item, record, result
+    return item, record, _step(state, item, edge)
 
 
-def _base_template(state: LexiconState, edge: EdgeSpec) -> Optional[Template]:
-    """The base's resolved template; None with no base or a verb base."""
-    return transfer(state, edge.base_id).template if _resolves_through(state, edge) else None
-
-
-def _record(state: LexiconState, edge: EdgeSpec,
-            base_template: Optional[Template]) -> ShiftRecord:
-    base_cogset = state.items[edge.base_id].cogset if edge.base_id is not None else None
+def _record(state: LexiconState, edge: EdgeSpec) -> ShiftRecord:
+    """An edge's record; nothing else builds a ShiftRecord but EMPTY_RECORD.
+    An unknown base raises ``unknown item``, a failing noun base its failure."""
+    base_template = transfer(state, edge.base_id).template if _resolves_through(state, edge) else None
+    base_cogset = state.item(edge.base_id).cogset if edge.base_id is not None else None
     return ShiftRecord(
         process=edge.process,
         base_template=base_template,
@@ -365,13 +357,6 @@ def _record(state: LexiconState, edge: EdgeSpec,
         gradcond=edge.gradcond,
         stratum=state.strata[edge.base_id] + 1 if edge.base_id is not None else 0,
     )
-
-
-def _resolve_edge(state: LexiconState, item: Item, edge: EdgeSpec,
-                  base_template: Optional[Template]) -> Tuple[ShiftRecord, ShiftResult]:
-    """One gradient step: the derived item's record and its resolution."""
-    record = _record(state, edge, base_template)
-    return record, apply_gradient(record, state.profile_for(item), state.initials)
 
 
 def _resolves_through(state: LexiconState, edge: Optional[EdgeSpec]) -> bool:
@@ -389,9 +374,9 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
     raises a fresh exception of the same type with the same text on every
     call and is resolved once.  On a miss the map is filled without
     recursion: walk up to the nearest resolved ancestor or the chain's
-    head, then resolve downward one gradient step per item.  A step whose
-    key was met before along the snapshot's lineage is a lookup in the
-    snapshot's step memo (see ``_step``).  An item whose noun base failed
+    head, then resolve downward one step per item by ``_step``, the step of
+    a what-if too: a key an item or a what-if met before along the lineage
+    is a lookup in the snapshot's step memo.  An item whose noun base failed
     takes the base's failure, so a derivative fails with the first failure
     up its chain.  The writes are idempotent and the walk keeps its own
     seen-set, so several threads may read one snapshot.
@@ -423,7 +408,7 @@ def _resolve(state: LexiconState, item_id: str):
         edge = state.edges.get(current)
     for current in reversed(pending):
         try:
-            outcome = _step(state, current)
+            outcome = _step(state, state.items[current], state.edges.get(current))
         except ValueError as exc:
             # the failure as data: an exception would keep its frames alive
             outcome = (type(exc), str(exc))
@@ -432,43 +417,41 @@ def _resolve(state: LexiconState, item_id: str):
     return outcome
 
 
-def _step(state: LexiconState, item_id: str):
-    """One item's outcome, its noun base already resolved: a ShiftResult, or
-    the base's failure.
+def _step(state: LexiconState, item: Item, edge: Optional[EdgeSpec]):
+    """The one gradient step: ``item``'s outcome by ``edge``, its noun base
+    already resolved; a ShiftResult, or the base's failure.
 
     A successful gradient step depends only on its step key (the derived
     item's language, the edge's process, target and qualifiers, and the
     base's template and cogset) and on the profiles and initials, which
     are fixed along the snapshot's lineage.  So it runs once per distinct
-    key, and later items with that key take the stored result with their
-    own stratum.  A failing step is never stored: its message names the
-    item's own base.
+    key, an item's or a what-if's, and later edges with that key take the
+    stored result with their record's stratum.  A failing step is never
+    stored: its message names the edge's own base.
     """
-    edge = state.edges.get(item_id)
-    item = state.items[item_id]
     if edge is None:
         if item.template is None:
-            raise ShiftError(f"item {item_id}: no declared template and no derivation edge")
+            raise ShiftError(f"item {item.id}: no declared template and no derivation edge")
         return ShiftResult(template=item.template, rule_id="head", operand=None,
-                           stratum=state.strata[item_id])
-    base_template = base_key = None
-    if _resolves_through(state, edge):
-        base = state._resolved[edge.base_id]
-        if type(base) is not ShiftResult:
-            return base
-        base_template = base.template
+                           stratum=state.strata[item.id])
+    # state.item raises on a gone base, so it never takes the key of an edge with no base
+    base = state.item(edge.base_id) if edge.base_id is not None else None
+    base_key = None
+    if base is not None and base.category != VERB:
+        outcome = state._resolved[edge.base_id]
+        if type(outcome) is not ShiftResult:
+            return outcome
         # the language and body, not the Template: hashing one walks its profile
-        base_key = (base_template.profile.language, base_template.body)
-    base_cogset = state.items[edge.base_id].cogset if edge.base_id is not None else None
-    key = (item.language, edge.process, base_key, edge.target, base_cogset,
+        base_key = (outcome.template.profile.language, outcome.template.body)
+    key = (item.language, edge.process, base_key, edge.target, base.cogset if base else None,
            edge.animate, edge.donor_gender, edge.gradcond)
     known = state._steps.get(key)
     if known is None:
-        result = _resolve_edge(state, item, edge, base_template)[1]
+        result = apply_gradient(_record(state, edge), state.profile_for(item), state.initials)
         state._steps.setdefault(key, result)  # a racing reader may have stored its own
         return result
     return ShiftResult(template=known.template, rule_id=known.rule_id, operand=known.operand,
-                       stratum=state.strata[item_id])
+                       stratum=state.strata[edge.base_id] + 1 if base else 0)
 
 
 def solve_operand(base: Template, derived: Template) -> FeatureSet:

@@ -3,16 +3,20 @@
     PYTHONPATH=src python tests/golden/record.py
 
 Run from any directory, at a commit whose command output is the reference.
-The script runs every command in process through ``tbmc.cli.main`` with
-captured streams and rewrites ``transcript.json`` next to it: the corpora
-the commands read besides the bundled ones, then each command's argv, exit
-code, stdout and stderr.  The test only reads the transcript.
+The script keeps every entry ``transcript.json`` (next to it) already holds,
+byte for byte, and appends an entry for each command of ``build()`` that the
+transcript lacks; it drops the entries of names ``build()`` no longer lists
+and prints those names.  To re-record a command, delete its entry first.  A
+new entry is recorded in process through ``tbmc.cli.main`` with captured
+streams: its argv, exit code, stdout and stderr.  The transcript also holds
+the corpora the commands read besides the bundled ones.  The test only reads
+the transcript.
 
 In an argv and in the output, ``{corpora}`` stands for the directory of the
 bundled corpora and ``{tmp}`` for the directory the corpora of the
 transcript are written to, so the transcript holds no machine's paths.
-Rewriting the transcript changes what the test pins: list every command
-whose recorded output changes as a deliberate change.
+Recording a command changes what the test pins: list every command whose
+recorded output changes as a deliberate change.
 """
 
 import contextlib
@@ -161,6 +165,8 @@ def build():
         add(f"derive/item-with{flag}", "derive", fig2, "sendu_2", flag, value)
     for flag in ("--target", "--lang"):
         add(f"derive/what-if-empty{flag}", "derive", fig2, "--base", "sendu_1", "--via", "CONV", flag, "")
+    add("derive/what-if-borrow-empty--base", "derive", fig2, "--via", "BORROW", "--base", "",
+        "--target", "U", "--donor-gender", "M", "--lang", "riffian")
     return corpora, commands
 
 
@@ -203,18 +209,41 @@ def write_corpora(corpora, directory):
             path.write_text(data, encoding="utf-8")
 
 
+def merge(transcript, corpora, commands, record):
+    """The transcript of ``build()``'s ``corpora`` and ``commands``, and the
+    names it leaves out.  The entries of ``transcript`` whose names
+    ``commands`` lists stay as they are and in their order; an entry from
+    ``record(argv)`` follows for each command ``transcript`` lacks.  The
+    corpora keep the order ``transcript`` gives them."""
+    kept_corpora = {name: corpora[name] for name in transcript["corpora"] if name in corpora}
+    kept_corpora.update(corpora)  # a new corpus goes last
+    names = {name for name, _ in commands}
+    kept = [entry for entry in transcript["commands"] if entry["name"] in names]
+    dropped = [entry["name"] for entry in transcript["commands"] if entry["name"] not in names]
+    have = {entry["name"] for entry in kept}
+    added = [{"name": name, "argv": argv, **record(argv)} for name, argv in commands if name not in have]
+    return {"corpora": kept_corpora, "commands": kept + added}, dropped
+
+
+def dump(transcript):
+    """The text of ``transcript.json``."""
+    return json.dumps(transcript, ensure_ascii=False, indent=1) + "\n"
+
+
 def main():
     os.environ["COLUMNS"] = COLUMNS
     corpora, commands = build()
-    entries = []
+    old = json.loads(TRANSCRIPT.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory(prefix="tbmc-golden-") as tmp:
         write_corpora(corpora, tmp)
         places = {"{corpora}": CORPORA, "{tmp}": tmp}
-        for name, argv in commands:
-            entries.append({"name": name, "argv": argv, **run(argv, places)})
-    text = json.dumps({"corpora": corpora, "commands": entries}, ensure_ascii=False, indent=1)
-    TRANSCRIPT.write_text(text + "\n", encoding="utf-8")
-    print(f"{len(entries)} commands written to {TRANSCRIPT.name}")
+        transcript, dropped = merge(old, corpora, commands, lambda argv: run(argv, places))
+    TRANSCRIPT.write_text(dump(transcript), encoding="utf-8")
+    for name in dropped:
+        print(f"dropped {name}")
+    added = len(transcript["commands"]) - (len(old["commands"]) - len(dropped))
+    print(f"{added} commands recorded, {len(dropped)} dropped, "
+          f"{len(transcript['commands'])} in {TRANSCRIPT.name}")
     return 0
 
 

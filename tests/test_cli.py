@@ -250,6 +250,14 @@ def test_derive_ad_hoc_rejects_an_empty_target_or_language(capsys, flag):
     assert run(capsys, *argv, "--gradcond", "") == (2, "", "no gradient rule '' in the registry\n")
 
 
+def test_derive_ad_hoc_rejects_an_empty_base(capsys):
+    # a borrowing with --base "" is not one without a base; off BORROW the needs-base check comes first
+    borrowing = ("--via", "BORROW", "--target", "U", "--donor-gender", "M", "--lang", "riffian")
+    assert run(capsys, "derive", FIG2, "--base", "", *borrowing) == (2, "", "missing value for --base\n")
+    assert run(capsys, "derive", FIG2, "--base", "", "--via", "CONV") == (
+        2, "", "ad-hoc derivation needs --base and --via (BORROW may omit --base)\n")
+
+
 def test_derive_unknown_item(capsys):
     code, _, err = run(capsys, "derive", FIG2, "ghost")
     assert code == 2

@@ -1,15 +1,19 @@
-"""Scaling laws, stated on counts of executed lines rather than on time.
+"""Scaling laws, stated on counts of executed lines and on allocation peaks
+rather than on time.
 
 Counting ``line`` events with ``sys.settrace`` gives the same number on
-every run, so a law on them holds on a loaded or a quiet machine alike.
+every run, and so does a ``tracemalloc`` peak, so a law on them holds on a
+loaded or a quiet machine alike.
 A count moves with the Python version, so each law is a ratio between two
 sizes, never an absolute count.
 """
 
 import sys
+import tracemalloc
 
 from tbmc import corpus
-from tbmc.engine import render_trace, trace
+from tbmc.engine import render_trace, trace, what_if
+from tbmc.lexicon import EdgeSpec, Formation
 
 
 def line_events(call, *args):
@@ -35,6 +39,21 @@ def line_events(call, *args):
     finally:
         sys.settrace(previous)
     return count, result
+
+
+def allocation_peak(call, *args):
+    """The ``tracemalloc`` peak, in bytes, of what ``call(*args)`` allocates.
+
+    A C-level copy shows here, but a peak does not add up: a copy repeated
+    once per step has the peak of one copy, so a law on a peak covers one
+    call and says nothing of a total over many.
+    """
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # one step per level, cycled: a gender flip, a widening that supersedes its
@@ -75,3 +94,15 @@ def test_tracing_a_path_does_not_grow_with_the_snapshot():
     assert 1.9 <= len(large.items) / len(small.items) <= 2.1
     ratio = _trace_events(large, "c100") / _trace_events(small, "c100")
     assert 0.95 <= ratio <= 1.05, ratio
+
+
+def test_a_what_if_allocates_independently_of_the_snapshot():
+    def peak(state):
+        edge = EdgeSpec(derived_id="probe", process=Formation.CONVERSION, base_id="c100")
+        what_if(state, edge)  # the first call stores the step in the memo
+        return allocation_peak(what_if, state, edge)
+
+    small, large = _chain_corpus(100, 100), _chain_corpus(100, 250)
+    assert 1.9 <= len(large.items) / len(small.items) <= 2.1
+    small_peak, large_peak = peak(small), peak(large)
+    assert large_peak <= 1.1 * small_peak, (small_peak, large_peak)

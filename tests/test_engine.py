@@ -768,8 +768,8 @@ def test_what_if_adds_nothing_to_the_snapshot(fig2):
 
 
 def test_one_snapshot_gives_an_edge_one_initial_template(fig2):
-    # a write to the initials would split the answers three ways: transfer's
-    # stored result, what_if's fresh step, and apply_formation's step-memo hit
+    # transfer, what_if and apply_formation's successor share one memoized
+    # step, so a write to the initials would leave it answering by the old one
     with pytest.raises(TypeError):
         fig2.initials[("riffian", "NA")] = U_INITIAL
     assert not hasattr(fig2.initials, "register")
@@ -788,6 +788,40 @@ def test_a_what_if_may_start_from_a_superseded_base(example1):
     assert result.template == transfer(example1, "hexagone_1").template
     with pytest.raises(ValueError, match="is superseded"):
         example1.apply_formation(edge)
+
+
+def test_what_ifs_and_a_transition_of_one_step_key_run_one_gradient_step(monkeypatch):
+    state = corpus.load_path(fixture_path("riffian_fig2")).state  # a memo of its own
+    calls = []
+    gradient = engine.apply_gradient
+    monkeypatch.setattr(engine, "apply_gradient", lambda *args: calls.append(args[0]) or gradient(*args))
+    edge = EdgeSpec(derived_id="probe", process=Formation.CONVERSION, base_id="sendu_2")
+    first, second = what_if(state, edge), what_if(state, edge)
+    inserted = transfer(state.apply_formation(edge), "probe")
+    assert [(record.process, record.base_id) for record in calls] == [(Formation.CONVERSION, "sendu_2")]
+    assert first[1] == second[1] == calls[0]
+    assert {(r.template, r.rule_id, r.stratum) for r in (first[2], second[2], inserted)} == {
+        (first[2].template, "R1", 3)}
+    assert "probe" not in state._resolved
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_an_edge_whose_base_is_gone_raises_unknown_item(warm):
+    # the bare constructor checks no base; "b" and "x" differ in their base only
+    borrowing = dict(process=Formation.BORROWING, target="U", donor_gender="M", language="riffian",
+                     radical="br")
+    edges = {"b": EdgeSpec(derived_id="b", **borrowing),
+             "x": EdgeSpec(derived_id="x", base_id="gone", **borrowing)}
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges=edges, strata={"b": 0, "x": 1},
+                         items={i: Item(id=i, language="riffian", radical="br", cogset="U") for i in edges})
+    if warm:  # the memo then holds the step key of the borrowing with no base
+        assert transfer(state, "b").rule_id == "R5" and len(state._steps) == 1
+    probe = replace(edges["x"], derived_id="probe")
+    for call in (lambda: transfer(state, "x"), lambda: shift_record(state, "x"),
+                 lambda: what_if(state, probe)):
+        with pytest.raises(LexiconError, match="^unknown item 'gone'$"):
+            call()
+    assert "x" not in state._resolved
 
 
 # -- one gradient step per distinct step key -------------------------------------

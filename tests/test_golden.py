@@ -58,3 +58,26 @@ def test_the_recorder_builds_the_commands_of_the_transcript():
     corpora, commands = record.build()
     assert corpora == TRANSCRIPT["corpora"]
     assert sorted(commands) == sorted((entry["name"], entry["argv"]) for entry in TRANSCRIPT["commands"])
+
+
+def _record_nothing(argv):
+    raise AssertionError(f"the merge ran {argv}")
+
+
+def test_merging_an_unchanged_transcript_gives_the_same_bytes():
+    merged, dropped = record.merge(TRANSCRIPT, *record.build(), _record_nothing)
+    assert dropped == []
+    assert record.dump(merged) == (GOLDEN / "transcript.json").read_text(encoding="utf-8")
+
+
+def test_a_merge_appends_what_the_transcript_lacks_and_drops_what_is_gone():
+    old = {"corpora": {"b.tbmc": "old b", "a.tbmc": "a"},
+           "commands": [{"name": "kept", "argv": ["x"], "exit": 1, "stdout": "s", "stderr": ""},
+                        {"name": "gone", "argv": ["y"], "exit": 0, "stdout": "", "stderr": ""}]}
+    commands = [("new", ["z"]), ("kept", ["x"])]
+    merged, dropped = record.merge(old, {"a.tbmc": "a", "b.tbmc": "b", "c.tbmc": "c"}, commands,
+                                   lambda argv: {"exit": 2, "stdout": "", "stderr": f"ran {argv}"})
+    assert dropped == ["gone"]
+    assert list(merged["corpora"].items()) == [("b.tbmc", "b"), ("a.tbmc", "a"), ("c.tbmc", "c")]
+    assert merged["commands"] == [old["commands"][0], {"name": "new", "argv": ["z"], "exit": 2,
+                                                       "stdout": "", "stderr": "ran ['z']"}]
