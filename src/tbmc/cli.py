@@ -132,7 +132,7 @@ def cmd_derive(args) -> Output:
     state = _load_corpus(args.corpus).state
 
     if args.item is not None:
-        if args.base or args.via:
+        if args.base is not None or args.via is not None:
             raise ValueError("give either an item id or --base/--via, not both")
         for flag in ("target", "animate", "donor_gender", "gradcond", "lang"):
             if getattr(args, flag) is not None:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import engine, realizer
@@ -69,8 +68,8 @@ from .templates import (
     parse_template_text,
 )
 
-@dataclass(frozen=True)
-class ParseIssue:
+
+class ParseIssue(NamedTuple):
     """One problem found while parsing, at its 1-based line and column."""
 
     line: int
@@ -87,16 +86,14 @@ class CorpusParseError(ValueError):
         super().__init__("; ".join(i.render() for i in issues))
 
 
-@dataclass(frozen=True)
-class ProfileStmt:
+class ProfileStmt(NamedTuple):
     """A ``profile`` line and the profile it declares: the built-in profile
     object when the two are equal, so its filled tables are reused."""
 
     profile: LanguageProfile
 
 
-@dataclass(frozen=True)
-class InitialStmt:
+class InitialStmt(NamedTuple):
     """An ``initial`` line: the initial template body of one cognitive set of a
     language, bare until ``load`` binds it to the language's profile."""
 
@@ -106,8 +103,7 @@ class InitialStmt:
     body: FeatureSet
 
 
-@dataclass(frozen=True)
-class ItemStmt:
+class ItemStmt(NamedTuple):
     """An ``item`` line: its item, and its template body bare until ``load``
     binds it to the item's profile."""
 
@@ -116,8 +112,7 @@ class ItemStmt:
     template: Optional[FeatureSet]
 
 
-@dataclass(frozen=True)
-class DeriveStmt:
+class DeriveStmt(NamedTuple):
     """A ``derive`` line: the formation edge that ``load`` applies."""
 
     line: int
@@ -127,8 +122,7 @@ class DeriveStmt:
 Statement = Union[ProfileStmt, InitialStmt, ItemStmt, DeriveStmt]
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
+class CorpusDocument(NamedTuple):
     """A parsed corpus: a statement per line that could be kept, in file
     order, and every issue found on the way."""
 
@@ -366,11 +360,13 @@ class _Table:
                 kept = False
         return values, kept
 
-    def write(self, values: Dict[str, object], profile: Optional[LanguageProfile]) -> str:
-        """The ``key=value`` fields of every value that is not its key's default."""
+    def write(self, record: Union[Item, EdgeSpec], profile: Optional[LanguageProfile],
+              template: Optional[FeatureSet] = None) -> str:
+        """The ``key=value`` fields of every value of ``record`` that is not its
+        key's default; an item's bare ``template`` body stands in for its own."""
         parts = []
         for name, attr, _, write, default, _ in self._rows:
-            value = values[attr]
+            value = template if attr == "template" else getattr(record, attr)
             if value != default:
                 parts.append(f"{name}={write(value, profile)}")
         return " ".join(parts)
@@ -606,13 +602,12 @@ def _parse_derive(
 
 # -- loading -------------------------------------------------------------------
 
-@dataclass(eq=False)
-class LoadResult:
+class LoadResult(NamedTuple):
     """A loaded corpus: its lexicon snapshot and one ``line N: ...`` message
     per statement that ``load`` rejected."""
 
     state: LexiconState
-    errors: List[str] = field(default_factory=list)
+    errors: List[str]
 
 
 def load(document: CorpusDocument) -> LoadResult:
@@ -685,13 +680,12 @@ def _to_item(stmt: ItemStmt, profiles: Dict[str, LanguageProfile]) -> Item:
     language = stmt.item.language
     if language not in profiles:
         raise TemplateError(f"no profile for language {language!r}")
-    return replace(stmt.item, template=Template(profiles[language], stmt.template))
+    return Item(**{**stmt.item._asdict(), "template": Template(profiles[language], stmt.template)})
 
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One checked expectation: an item's expected and actual template or
     surface, and whether they match."""
 
@@ -703,8 +697,7 @@ class CheckRow:
     via: str  # rule id or audit classification
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """What ``validate`` found: input errors, one row per checked expectation,
     the snapshot's warnings, and its item and live counts."""
 
@@ -843,12 +836,11 @@ def serialize(document: CorpusDocument) -> str:
             lines.append(f"initial {stmt.language}.{stmt.cogset} = {body}")
         elif isinstance(stmt, ItemStmt):
             languages[stmt.item.id] = stmt.item.language
-            values = {**vars(stmt.item), "template": stmt.template}
-            lines.append("item " + _ITEM_KEYS.write(values, profiles.get(stmt.item.language)))
+            lines.append("item " + _ITEM_KEYS.write(stmt.item, profiles.get(stmt.item.language), stmt.template))
         else:
             edge = stmt.edge
             language = languages[edge.derived_id] = edge.language or languages.get(edge.base_id)
-            lines.append("derive " + _DERIVE_KEYS.write(vars(edge), profiles.get(language or "")))
+            lines.append("derive " + _DERIVE_KEYS.write(edge, profiles.get(language or "")))
     return "\n".join(lines) + "\n"
 
 

@@ -28,10 +28,10 @@ triggers can both fire on one record is rejected when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import algebra
+from ._record import Record
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
 from .lexicon import (
     EMPTY_RECORD,
@@ -69,8 +69,7 @@ class RegistryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One conjunctive trigger condition over a shift record."""
 
     processes: FrozenSet[Formation]
@@ -108,8 +107,7 @@ class Clause:
         return True
 
 
-@dataclass(frozen=True)
-class DeltaOperand:
+class DeltaOperand(Record):
     """Rule mode: derived = base Δ operand.
 
     ``fixed`` atoms are used as-is; ``flip`` names contribute both polarities
@@ -118,10 +116,10 @@ class DeltaOperand:
     be category-free.
     """
 
-    fixed: FeatureSet = frozenset()
-    flip: Tuple[str, ...] = ()
+    __slots__ = _fields = ("fixed", "flip")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fixed: FeatureSet = frozenset(), flip: Tuple[str, ...] = ()) -> None:
+        self._set_fields(fixed, flip)
         bad = sorted(a for a in self.fixed if algebra.is_category(a))
         if bad:
             raise RegistryError(f"gradient operand may not contain category atoms: {bad}")
@@ -138,8 +136,7 @@ class DeltaOperand:
         return frozenset(atoms)
 
 
-@dataclass(frozen=True)
-class InitialAssign:
+class InitialAssign(NamedTuple):
     """Rule mode: derived = initial template of the target cognitive set."""
 
     use_donor_gender: bool = False
@@ -148,8 +145,7 @@ class InitialAssign:
 RuleMode = Union[DeltaOperand, InitialAssign]
 
 
-@dataclass(frozen=True)
-class GradRule:
+class GradRule(NamedTuple):
     """One member of the gradient-condition family.
 
     A rule with no clauses never fires on its own and is reachable only
@@ -164,13 +160,13 @@ class GradRule:
         return any(c.matches(record) for c in self.clauses)
 
 
-@dataclass(frozen=True)
-class RuleRegistry:
+class RuleRegistry(Record):
     """First-match rule table over a declared priority order."""
 
-    rules: Tuple[GradRule, ...]
+    __slots__ = _fields = ("rules",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rules: Tuple[GradRule, ...]) -> None:
+        self._set_fields(rules)
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             raise RegistryError(f"duplicate rule ids in registry: {ids}")
@@ -248,14 +244,13 @@ DEFAULT_RULES = RuleRegistry((
 ))
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(Record):
     """A resolved template together with how it was reached."""
 
-    template: Template
-    rule_id: str
-    operand: Optional[FeatureSet]
-    stratum: int
+    __slots__ = _fields = ("template", "rule_id", "operand", "stratum")
+
+    def __init__(self, template: Template, rule_id: str, operand: Optional[FeatureSet], stratum: int) -> None:
+        self._set_fields(template, rule_id, operand, stratum)
 
 
 def _force_gender(body: FeatureSet, donor: str) -> FeatureSet:
@@ -473,19 +468,23 @@ def solve_operand(base: Template, derived: Template) -> FeatureSet:
 
 # -- phylotemplatic traces ----------------------------------------------------
 
-@dataclass(eq=False, repr=False, slots=True)
 class TraceNode:
     """One row of a trace: an item, the step that produced it, and its depth
     below the traced root.  Slotted; equality is identity, the repr ``object``'s."""
 
-    item_id: str
-    process: Optional[Formation]
-    rule_id: Optional[str]
-    template: Optional[Template]
-    stratum: int
-    gloss: Optional[str]
-    superseded: bool
-    depth: int
+    __slots__ = ("item_id", "process", "rule_id", "template", "stratum", "gloss", "superseded", "depth")
+
+    def __init__(self, item_id: str, process: Optional[Formation], rule_id: Optional[str],
+                 template: Optional[Template], stratum: int, gloss: Optional[str], superseded: bool,
+                 depth: int) -> None:
+        self.item_id = item_id
+        self.process = process
+        self.rule_id = rule_id
+        self.template = template
+        self.stratum = stratum
+        self.gloss = gloss
+        self.superseded = superseded
+        self.depth = depth
 
 
 def _chain(state: LexiconState, item_id: str) -> List[Tuple[str, Optional[EdgeSpec]]]:

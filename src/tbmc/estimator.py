@@ -14,10 +14,10 @@ would otherwise starve the tally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import engine
+from ._record import Record
 from .lexicon import Item, LexiconState
 from .templates import Template
 
@@ -29,18 +29,18 @@ class EstimationError(ValueError):
 FLAGS = ("recent_loan", "typical", "common")
 
 
-@dataclass(frozen=True)
-class EstimationFilter:
+class EstimationFilter(Record):
     """Which corpus flags admit an item into the tally.
 
     Every flag name is checked on construction, whatever the corpus holds.
     """
 
-    require_any: FrozenSet[str] = frozenset({"recent_loan", "typical"})
-    exclude: FrozenSet[str] = frozenset({"common"})
-    unfiltered_sets: FrozenSet[str] = frozenset({"NA"})
+    __slots__ = _fields = ("require_any", "exclude", "unfiltered_sets")
 
-    def __post_init__(self) -> None:
+    def __init__(self, require_any: FrozenSet[str] = frozenset({"recent_loan", "typical"}),
+                 exclude: FrozenSet[str] = frozenset({"common"}),
+                 unfiltered_sets: FrozenSet[str] = frozenset({"NA"})) -> None:
+        self._set_fields(require_any, exclude, unfiltered_sets)
         for name in (*sorted(self.exclude), *sorted(self.require_any)):
             if name not in FLAGS:
                 raise EstimationError(f"unknown corpus flag {name!r}")
@@ -56,8 +56,7 @@ class EstimationFilter:
 DEFAULT_FILTER = EstimationFilter()
 
 
-@dataclass(frozen=True)
-class SetEstimate:
+class SetEstimate(NamedTuple):
     """The tally outcome for one cognitive set.
 
     ``winner`` is the unique mode; it is None when the group was empty after

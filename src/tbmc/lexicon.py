@@ -27,10 +27,10 @@ through the shift engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
+from ._record import Record
 from .algebra import FeatureSet
 from .templates import LanguageProfile, Template
 
@@ -60,8 +60,7 @@ def formation_from_token(token: str) -> Formation:
     return formation
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(Record):
     """One lexical entry.
 
     ``template`` is only set on input heads; derived items resolve theirs
@@ -72,26 +71,22 @@ class Item:
     against.
     """
 
-    id: str
-    language: str
-    radical: str
-    category: str = "N"
-    cogset: Optional[str] = None
-    meanings: FrozenSet[str] = frozenset()
-    gloss: Optional[str] = None
-    animate: bool = False
-    recent_loan: bool = False
-    typical: bool = False
-    common: bool = False
-    template: Optional[Template] = None
-    surface_override: Optional[str] = None
-    expected_surface: Optional[str] = None
-    fem_prefix: bool = True
-    fem_suffix: bool = True
+    __slots__ = _fields = (
+        "id", "language", "radical", "category", "cogset", "meanings", "gloss", "animate", "recent_loan",
+        "typical", "common", "template", "surface_override", "expected_surface", "fem_prefix", "fem_suffix")
+
+    def __init__(
+        self, id: str, language: str, radical: str, category: str = "N", cogset: Optional[str] = None,
+        meanings: FrozenSet[str] = frozenset(), gloss: Optional[str] = None, animate: bool = False,
+        recent_loan: bool = False, typical: bool = False, common: bool = False,
+        template: Optional[Template] = None, surface_override: Optional[str] = None,
+        expected_surface: Optional[str] = None, fem_prefix: bool = True, fem_suffix: bool = True,
+    ) -> None:
+        self._set_fields(id, language, radical, category, cogset, meanings, gloss, animate, recent_loan, typical,
+                         common, template, surface_override, expected_surface, fem_prefix, fem_suffix)
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(Record):
     """Construction data for one derived item.
 
     ``base_id`` is absent only for borrowings, which start their own chain.
@@ -102,25 +97,24 @@ class EdgeSpec:
     carried along for validation, inert during derivation itself.
     """
 
-    derived_id: str
-    process: Formation
-    base_id: Optional[str] = None
-    target: Optional[str] = None
-    language: Optional[str] = None
-    radical: Optional[str] = None
-    gloss: Optional[str] = None
-    animate: bool = False
-    donor_gender: Optional[str] = None
-    gradcond: Optional[str] = None
-    surface_override: Optional[str] = None
-    expected_surface: Optional[str] = None
-    fem_prefix: bool = True
-    fem_suffix: bool = True
-    expect_template: Optional[FeatureSet] = None
+    __slots__ = _fields = (
+        "derived_id", "process", "base_id", "target", "language", "radical", "gloss", "animate",
+        "donor_gender", "gradcond", "surface_override", "expected_surface", "fem_prefix", "fem_suffix",
+        "expect_template")
+
+    def __init__(
+        self, derived_id: str, process: Formation, base_id: Optional[str] = None,
+        target: Optional[str] = None, language: Optional[str] = None, radical: Optional[str] = None,
+        gloss: Optional[str] = None, animate: bool = False, donor_gender: Optional[str] = None,
+        gradcond: Optional[str] = None, surface_override: Optional[str] = None,
+        expected_surface: Optional[str] = None, fem_prefix: bool = True, fem_suffix: bool = True,
+        expect_template: Optional[FeatureSet] = None,
+    ) -> None:
+        self._set_fields(derived_id, process, base_id, target, language, radical, gloss, animate, donor_gender,
+                         gradcond, surface_override, expected_surface, fem_prefix, fem_suffix, expect_template)
 
 
-@dataclass(frozen=True)
-class ShiftRecord:
+class ShiftRecord(NamedTuple):
     """The retrospective determinant of one item's template.
 
     Input heads map to the distinguished EMPTY record.  For derived items
@@ -158,8 +152,16 @@ class ShiftRecord:
 EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_id=None)
 
 
-@dataclass(frozen=True)
-class LexiconState:
+# a table not given: empty and read-only, so one view serves every snapshot
+_NO_TABLE: Mapping = MappingProxyType({})
+
+
+def _read_only(table: Mapping) -> Mapping:
+    """``table`` itself when it is a read-only view, else a view of a copy of it."""
+    return table if type(table) is MappingProxyType else MappingProxyType(dict(table))
+
+
+class LexiconState(Record):
     """Immutable lexicon snapshot; all transitions return a new state.
 
     The tables ``items``, ``edges``, ``strata``, ``profiles`` and
@@ -176,9 +178,10 @@ class LexiconState:
     ``corpus.load`` builds its snapshot.
 
     Beside the lexicon, a snapshot keeps two private maps, left out of the
-    constructor, equality and repr, so ``dataclasses.replace`` starts both
-    empty; only ``draft`` and ``freeze`` hand them on.  ``engine.transfer``
-    adds entries on a miss, by idempotent writes.
+    constructor, equality and repr, so the constructor starts both empty and
+    a snapshot it builds resolves afresh; only ``draft`` and ``freeze`` hand
+    them on.  ``engine.transfer`` adds entries on a miss, by idempotent
+    writes.
 
     * ``_resolved``: the outcome of each item resolved so far, an
       ``engine.ShiftResult`` or the failure's exception type and message.
@@ -192,32 +195,34 @@ class LexiconState:
       profiles and initials, which are fixed along a lineage, so drafts
       and successors share this map itself, uncopied.
 
-    A snapshot is shared, not copied: ``copy.copy`` shares its tables and
-    maps, and ``copy.deepcopy`` and ``pickle`` raise ``TypeError``.
+    A snapshot is shared, not copied: ``copy.copy`` returns the snapshot
+    itself, and ``copy.deepcopy`` and ``pickle`` raise ``TypeError``.  It
+    compares equal by its seven public fields and is unhashable.
     """
 
-    profiles: Mapping[str, LanguageProfile]
-    initials: Mapping[Tuple[str, str], Template]
-    items: Mapping[str, Item] = field(default_factory=dict)
-    edges: Mapping[str, EdgeSpec] = field(default_factory=dict)
-    superseded: FrozenSet[str] = frozenset()
-    strata: Mapping[str, int] = field(default_factory=dict)
-    warnings: Tuple[str, ...] = ()
-    # item id -> engine.ShiftResult or (exception type, message), filled by
-    # engine.transfer; see the class docstring
-    _resolved: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # step key -> engine.ShiftResult, shared along a lineage; see the class docstring
-    _steps: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("profiles", "initials", "items", "edges", "superseded", "strata", "warnings")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        for name in ("items", "edges", "strata", "profiles", "initials"):
-            table = getattr(self, name)
-            if type(table) is not MappingProxyType:
-                object.__setattr__(self, name, MappingProxyType(dict(table)))
-        if type(self.superseded) is not frozenset:
-            object.__setattr__(self, "superseded", frozenset(self.superseded))
-        if type(self.warnings) is not tuple:
-            object.__setattr__(self, "warnings", tuple(self.warnings))
+    def __init__(
+        self,
+        profiles: Mapping[str, LanguageProfile],
+        initials: Mapping[Tuple[str, str], Template],
+        items: Mapping[str, Item] = _NO_TABLE,
+        edges: Mapping[str, EdgeSpec] = _NO_TABLE,
+        superseded: FrozenSet[str] = frozenset(),
+        strata: Mapping[str, int] = _NO_TABLE,
+        warnings: Tuple[str, ...] = (),
+    ) -> None:
+        # _resolved: item id -> engine.ShiftResult or (exception type, message),
+        # filled by engine.transfer; _steps: step key -> engine.ShiftResult,
+        # shared along a lineage; see the class docstring
+        vars(self).update(
+            profiles=_read_only(profiles), initials=_read_only(initials), items=_read_only(items),
+            edges=_read_only(edges), superseded=frozenset(superseded), strata=_read_only(strata),
+            warnings=tuple(warnings), _resolved={}, _steps={})
+
+    def __copy__(self) -> "LexiconState":
+        return self
 
     # -- queries ---------------------------------------------------------
 
@@ -282,11 +287,9 @@ class LexiconState:
 
     def draft(self) -> "Draft":
         """A private builder holding copies of this snapshot's tables; see :class:`Draft`."""
-        draft = Draft(
-            profiles=self.profiles, initials=self.initials, items=self.items.copy(),
-            edges=self.edges.copy(), superseded=self.superseded, strata=self.strata.copy(),
-            warnings=self.warnings)
-        draft._resolved, draft._steps = self._resolved.copy(), self._steps
+        draft = object.__new__(Draft)
+        vars(draft).update(vars(self), items=self.items.copy(), edges=self.edges.copy(),
+                           strata=self.strata.copy(), _resolved=self._resolved.copy())
         return draft
 
     def derived_item(self, spec: EdgeSpec) -> Item:
@@ -347,7 +350,8 @@ class LexiconState:
 class Draft(LexiconState):
     """A snapshot under construction: the one place where tables are written.
 
-    ``LexiconState.draft`` makes one with its own copies of the tables;
+    ``LexiconState.draft`` makes one, not the constructor, which would wrap
+    the tables: the draft holds its own writable copies of them;
     ``add_item`` and ``apply_formation`` insert into the draft itself and
     return it, so building a lexicon of n items copies nothing per
     statement.  ``superseded`` and ``warnings`` stay the parent's frozenset
@@ -361,16 +365,11 @@ class Draft(LexiconState):
     # a draft is the builder, so unlike a snapshot it may rebind its attributes
     __setattr__ = object.__setattr__
 
-    def __post_init__(self) -> None:
-        pass  # a draft keeps the writable tables it is given
-
     def freeze(self) -> LexiconState:
-        state = LexiconState(
-            profiles=self.profiles, initials=self.initials, items=MappingProxyType(self.items),
-            edges=MappingProxyType(self.edges), superseded=self.superseded,
-            strata=MappingProxyType(self.strata), warnings=self.warnings)
-        object.__setattr__(state, "_resolved", self._resolved)
-        object.__setattr__(state, "_steps", self._steps)
+        state = object.__new__(LexiconState)
+        vars(state).update(vars(self), items=MappingProxyType(self.items), edges=MappingProxyType(self.edges),
+                           superseded=frozenset(self.superseded), strata=MappingProxyType(self.strata),
+                           warnings=tuple(self.warnings))
         return state
 
     def _insert_item(self, item: Item) -> "Draft":

@@ -13,8 +13,7 @@ six where only pairs are) to keep the whole suite exhaustive yet fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from . import algebra
 from .algebra import PAIR_CAP, TRIPLE_CAP, FeatureSet
@@ -44,8 +43,7 @@ def all_subsets(atoms: Sequence[str]) -> List[FeatureSet]:
     return subsets
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """The outcome of one named check: how many cases it ran and, when it
     failed, the first counterexample."""
 

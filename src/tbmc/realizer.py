@@ -24,8 +24,7 @@ NFC-normalized text.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import engine
 from .lexicon import Item, LexiconState, VERB
@@ -65,8 +64,7 @@ VOICELESS = ("ts", "tʃ", "t", "θ", "f", "s", "ʃ", "k", "q", "ħ", "χ")
 VOWELS_AND_GLIDES = ("a", "e", "i", "o", "u", "w", "j")
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceForm:
+class SurfaceForm(NamedTuple):
     """Assembled surface: plain join and display hyphenation.
 
     ``hyphenated`` separates the prefix block (gender and countability fused)
@@ -141,8 +139,7 @@ OVERRIDE_USED = "override-used"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One audited item: its attested and produced surfaces, and whether the
     rules, an override or neither account for the attestation."""
 

@@ -22,11 +22,11 @@ entry, by language and cognitive set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, NamedTuple, Tuple, Union
 
 from . import algebra
+from ._record import Record
 from .algebra import NEGATIVE, POSITIVE, FeatureSet
 
 
@@ -34,8 +34,7 @@ class TemplateError(ValueError):
     """Raised when a template is used where a well-formed one is required."""
 
 
-@dataclass(frozen=True)
-class Opposition:
+class Opposition(NamedTuple):
     """A linked feature pair; members must carry opposite polarities."""
 
     a: str
@@ -46,8 +45,7 @@ class Opposition:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(NamedTuple):
     """An independently signed feature; exactly one polarity present."""
 
     name: str
@@ -60,21 +58,19 @@ class Free:
 Slot = Union[Opposition, Free]
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(Record):
     """A language's template shape: its category atom and its feature slots,
     in declaration order."""
 
-    language: str
-    category: str
-    slots: Tuple[Slot, ...]
-    # feature sets met under this profile -> (their one shared object, canonical
-    # text): a well-formed body maps to its Template and text, a gradient
-    # operand to itself and None; see validate(), shared_template(), shared_operand()
-    _shared: Dict[FeatureSet, Tuple[object, Optional[str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("language", "category", "slots")
+    __slots__ = (*_fields, "_shared")
 
-    def __post_init__(self) -> None:
+    def __init__(self, language: str, category: str, slots: Tuple[Slot, ...]) -> None:
+        self._set_fields(language, category, slots)
+        # feature sets met under this profile -> (their one shared object, canonical
+        # text): a well-formed body maps to its Template and text, a gradient
+        # operand to itself and None; see validate(), shared_template(), shared_operand()
+        object.__setattr__(self, "_shared", {})
         names = self.feature_names()
         if self.category in names:
             raise TemplateError(f"profile {self.language}: category clashes with a feature")
@@ -90,8 +86,7 @@ class LanguageProfile:
         return tuple(n for slot in self.slots for n in slot.names)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """A profile reference plus a validated-or-not body."""
 
     profile: LanguageProfile

@@ -1,5 +1,4 @@
 import tempfile
-from dataclasses import fields
 
 import pytest
 from hypothesis import configuration, settings
@@ -47,7 +46,7 @@ def fig2_document():
 
 def _unnumbered(document):
     """Each statement as its type and its fields, the line number left out."""
-    return [(type(s), [getattr(s, f.name) for f in fields(s) if f.name != "line"])
+    return [(type(s), [getattr(s, name) for name in s._fields if name != "line"])
             for s in document.statements]
 
 

@@ -61,6 +61,22 @@ derive id=f base=h via=MDERIV target=X
 derive id=v base=f via=CONV target=V
 derive id=w base=v via=MDERIV target=Z
 """
+# A two-item set, so ``estimate --unfiltered C`` finds a tie, and one corpus
+# per parse or load fault that no other corpus of the transcript reaches;
+# each fault corpus is validated.
+TIE = """\
+item id=a lang=riffian radical="ka" cogset=C template={N, +SG, -PL, -M, +F, -COL, +SING}
+item id=b lang=riffian radical="kb" cogset=C template={N, +SG, -PL, +M, -F, -COL, +SING}
+"""
+FAULTS = {
+    "profile-without-slots": "profile foo category=N\n",
+    "initial-without-cogset": "initial riffian = {N}\n",
+    "initial-without-equals": "initial riffian.C {N}\n",
+    "item-of-unknown-language": 'item id=x lang=nolang radical="ka" cogset=C\n',
+    "bad-expect-template": 'item id=a lang=riffian radical="ka" cogset=C '
+                           "template={N, +SG, -PL, +M, -F, -COL, +SING}\n"
+                           "derive id=b base=a via=CONV expect_template={N, +XX}\n",
+}
 # what each hostile corpus of tests/test_cli.py is run through
 HOSTILE_COMMANDS = (("validate",), ("validate", "--format", "records"), ("derive", "c"),
                     ("trace", "a"), ("estimate",), ("derive", "--base", "a", "--via", "WIDEN"))
@@ -93,7 +109,8 @@ def decode(stored):
 def build():
     """The corpora of the transcript and the argv of each command, by name."""
     test_cli = _test_cli()
-    corpora = {"failing.tbmc": FAILING, "two-failures.tbmc": TWO_FAILURES}
+    corpora = {"failing.tbmc": FAILING, "two-failures.tbmc": TWO_FAILURES, "tie.tbmc": TIE}
+    corpora.update((f"fault-{name}.tbmc", text) for name, text in FAULTS.items())
     corpora.update((f"hostile-{name}.tbmc", _encode(text))
                    for name, text in test_cli._HOSTILE_CORPORA.items())
     commands = []
@@ -167,6 +184,10 @@ def build():
         add(f"derive/what-if-empty{flag}", "derive", fig2, "--base", "sendu_1", "--via", "CONV", flag, "")
     add("derive/what-if-borrow-empty--base", "derive", fig2, "--via", "BORROW", "--base", "",
         "--target", "U", "--donor-gender", "M", "--lang", "riffian")
+    add("derive/item-with-empty--base", "derive", fig2, "sendu_2", "--base", "")
+    add("estimate/unfiltered-tie", "estimate", "{tmp}/tie.tbmc", "--unfiltered", "C")
+    for name in FAULTS:
+        add(f"fault-{name}/validate", "validate", f"{{tmp}}/fault-{name}.tbmc")
     return corpora, commands
 
 

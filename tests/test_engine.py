@@ -5,7 +5,6 @@ import pickle
 import random
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -773,7 +772,7 @@ def test_one_snapshot_gives_an_edge_one_initial_template(fig2):
     with pytest.raises(TypeError):
         fig2.initials[("riffian", "NA")] = U_INITIAL
     assert not hasattr(fig2.initials, "register")
-    edge = replace(fig2.edges["razi_1"], derived_id="razi_x")
+    edge = EdgeSpec(**{**fig2.edges["razi_1"]._asdict(), "derived_id": "razi_x"})
     stored = transfer(fig2, "razi_1")
     assert stored.rule_id == "R4" and stored.template == NA_INITIAL
     assert what_if(fig2, edge)[2].template == stored.template
@@ -816,7 +815,7 @@ def test_an_edge_whose_base_is_gone_raises_unknown_item(warm):
                          items={i: Item(id=i, language="riffian", radical="br", cogset="U") for i in edges})
     if warm:  # the memo then holds the step key of the borrowing with no base
         assert transfer(state, "b").rule_id == "R5" and len(state._steps) == 1
-    probe = replace(edges["x"], derived_id="probe")
+    probe = EdgeSpec(**{**edges["x"]._asdict(), "derived_id": "probe"})
     for call in (lambda: transfer(state, "x"), lambda: shift_record(state, "x"),
                  lambda: what_if(state, probe)):
         with pytest.raises(LexiconError, match="^unknown item 'gone'$"):
@@ -934,7 +933,7 @@ def test_a_failing_step_is_not_stored_and_names_its_own_base():
     assert state._steps == {}
 
 
-# -- a snapshot made by dataclasses.replace resolves afresh -----------------------
+# -- a snapshot the constructor makes from another's tables resolves afresh ------
 
 _KAB_TEXT = """\
 profile kab category=N slots=[SG|PL, M|F, COL|SING]
@@ -968,7 +967,7 @@ def test_a_replaced_snapshot_answers_like_a_fresh_load():
     for text, name, fresh in cases:
         parent = corpus.load(corpus.parse(text)).state
         before = _answers(parent)
-        replaced = replace(parent, **{name: getattr(fresh, name)})
+        replaced = LexiconState(**{**parent._asdict(), name: getattr(fresh, name)})
         assert replaced._resolved == {} and replaced._steps == {}, name
         assert _answers(replaced) == _answers(fresh) != before, name
         assert _answers(parent) == before, name

@@ -1,7 +1,6 @@
 """Item store, formation ledger, supersession, and determinism."""
 
 import ast
-import dataclasses
 from pathlib import Path
 from types import MappingProxyType
 
@@ -263,11 +262,10 @@ def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
 
 
 def test_a_snapshot_has_no_writable_field(fig2):
-    # _resolved and _steps are the private memos
+    # the seven public fields; _resolved and _steps are the private memos
     for state in (riffian_state(), fig2, five_item_state().apply_formation(conv("d1", "w0"))):
-        for f in dataclasses.fields(LexiconState):
-            if f.name not in ("_resolved", "_steps"):
-                assert type(getattr(state, f.name)) in (MappingProxyType, frozenset, tuple), f.name
+        for name in ("profiles", "initials", "items", "edges", "superseded", "strata", "warnings"):
+            assert type(getattr(state, name)) in (MappingProxyType, frozenset, tuple), name
 
 
 def test_the_constructor_copies_the_tables_it_is_given():
