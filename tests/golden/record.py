@@ -185,6 +185,12 @@ def build():
     add("derive/what-if-borrow-empty--base", "derive", fig2, "--via", "BORROW", "--base", "",
         "--target", "U", "--donor-gender", "M", "--lang", "riffian")
     add("derive/item-with-empty--base", "derive", fig2, "sendu_2", "--base", "")
+    # a what-if off a superseded base, and a donor gender on a conversion
+    add("derive/what-if-off-a-superseded-base", "derive", fig2, "--base", "razi_1", "--via", "CONV")
+    add("derive/what-if-off-a-superseded-base-records", "derive", fig2, "--base", "razi_1", "--via", "CONV",
+        "--format", "records")
+    add("derive/what-if-conv-with--donor-gender", "derive", fig2, "--base", "sendu_1", "--via", "CONV",
+        "--donor-gender", "M")
     add("estimate/unfiltered-tie", "estimate", "{tmp}/tie.tbmc", "--unfiltered", "C")
     for name in FAULTS:
         add(f"fault-{name}/validate", "validate", f"{{tmp}}/fault-{name}.tbmc")

@@ -3,6 +3,7 @@
 import pytest
 
 from tbmc import algebra, oracle
+from tbmc.cli import main
 from tbmc.lexicon import EdgeSpec, Formation, Item, LexiconState
 from tbmc.oracle import (
     UniverseTooLarge,
@@ -165,3 +166,16 @@ def test_result_rendering():
     assert passed.render().startswith("pass")
     failed = verify_group_axioms(["a"], delta=lambda a, b: a | b)
     assert failed.render().startswith("FAIL")
+
+
+def test_selfcheck_fails_and_shows_the_counterexample_when_a_formulation_is_wrong(monkeypatch, capsys):
+    # a union agrees with Δ on disjoint operands and nowhere else
+    monkeypatch.setattr(algebra, "symmetric_difference_via_envelope", lambda a, b: a | b)
+    assert main(["selfcheck", "--atoms", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pass  group-axioms")
+    assert lines[1] == "FAIL  formulation-agreement  (18 checks)  {a} Δ {a}: {} vs {a} vs {}"
+    assert main(["selfcheck", "--atoms", "2", "--format", "records"]) == 1
+    records = capsys.readouterr().out.splitlines()
+    assert records[1] == "check=formulation-agreement\tstatus=fail\tchecks=18"
+    assert [line.split("\t")[1] for line in records] == ["status=pass", "status=fail", "status=pass"]
