@@ -28,11 +28,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    # submodules load on first use, so ``import tbmc`` alone imports none
+    # submodules load on first use, so ``import tbmc`` alone imports none;
+    # unlike importlib.import_module, __import__ shows in ``-X importtime``
     if name in __all__:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -50,6 +50,14 @@ def test_importing_the_package_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_importtime_logs_every_module_a_command_loads():
+    # a submodule that tbmc.__getattr__ loads is logged like any other import
+    proc = _python("-X", "importtime", "-c", "import tbmc.cli")
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"tbmc.cli", "tbmc.engine", "tbmc.algebra", "tbmc.lexicon", "tbmc.templates"} <= logged
+
+
 _LAZY_ACCESS = """
 import sys
 import tbmc
