@@ -770,11 +770,10 @@ def validate(document: CorpusDocument) -> ValidationReport:
             errors.append(message if message.startswith(prefix) else prefix + message)
 
     for item_id, edge in state.edges.items():
-        if edge.expect_template is None or item_id not in state.items:
+        if edge.expect_template is None:
             continue
-        item = state.items[item_id]
         try:
-            expected_text = canonical_render(edge.expect_template, state.profile_for(item))
+            expected_text = canonical_render(edge.expect_template, state.profiles[state.items[item_id].language])
         except ValueError as exc:
             errors.append(f"item {item_id}: bad expected template: {exc}")
             continue

@@ -369,12 +369,11 @@ def transfer(state: LexiconState, item_id: str) -> ShiftResult:
     raises a fresh exception of the same type with the same text on every
     call and is resolved once.  On a miss the map is filled without
     recursion: walk up to the nearest resolved ancestor or the chain's
-    head, then resolve downward one step per item by ``_step``, the step of
-    a what-if too: a key an item or a what-if met before along the lineage
-    is a lookup in the snapshot's step memo.  An item whose noun base failed
-    takes the base's failure, so a derivative fails with the first failure
-    up its chain.  The writes are idempotent and the walk keeps its own
-    seen-set, so several threads may read one snapshot.
+    head, then resolve downward one step per item by ``_step``, which
+    memoizes its gradient step.  An item whose noun base failed takes the
+    base's failure, so a derivative fails with the first failure up its
+    chain.  The writes are idempotent, so several threads may read one
+    snapshot.
     """
     outcome = state._resolved.get(item_id)
     if outcome is None:
@@ -392,15 +391,10 @@ def _resolve(state: LexiconState, item_id: str):
     if item.category == VERB:
         raise ShiftError(f"item {item_id}: category {VERB} has no registered template inventory")
     pending = [item_id]  # the walk up to a resolved ancestor or the head
-    seen = {item_id}
     edge = state.edges.get(item_id)
     while _resolves_through(state, edge) and edge.base_id not in resolved:
-        current = edge.base_id
-        if current in seen:
-            raise ShiftError(f"cycle detected while resolving {current!r}")
-        seen.add(current)
-        pending.append(current)
-        edge = state.edges.get(current)
+        pending.append(edge.base_id)
+        edge = state.edges.get(edge.base_id)
     for current in reversed(pending):
         try:
             outcome = _step(state, state.items[current], state.edges.get(current))
@@ -429,8 +423,7 @@ def _step(state: LexiconState, item: Item, edge: Optional[EdgeSpec]):
             raise ShiftError(f"item {item.id}: no declared template and no derivation edge")
         return ShiftResult(template=item.template, rule_id="head", operand=None,
                            stratum=state.strata[item.id])
-    # state.item raises on a gone base, so it never takes the key of an edge with no base
-    base = state.item(edge.base_id) if edge.base_id is not None else None
+    base = state.items[edge.base_id] if edge.base_id is not None else None
     base_key = None
     if base is not None and base.category != VERB:
         outcome = state._resolved[edge.base_id]
@@ -442,7 +435,7 @@ def _step(state: LexiconState, item: Item, edge: Optional[EdgeSpec]):
            edge.animate, edge.donor_gender, edge.gradcond)
     known = state._steps.get(key)
     if known is None:
-        result = apply_gradient(_record(state, edge), state.profile_for(item), state.initials)
+        result = apply_gradient(_record(state, edge), state.profiles[item.language], state.initials)
         state._steps.setdefault(key, result)  # a racing reader may have stored its own
         return result
     return ShiftResult(template=known.template, rule_id=known.rule_id, operand=known.operand,
@@ -488,37 +481,34 @@ class TraceNode:
 
 
 def _chain(state: LexiconState, item_id: str) -> List[Tuple[str, Optional[EdgeSpec]]]:
-    """The item and its bases up to the chain's head, the item first, each with
-    its edge.  An acyclic chain follows each edge at most once, so a walk longer
-    than ``len(state.edges)`` edges has met a cycle: the walk keeps no seen-set."""
+    """The item and its bases up to its chain's head, the item first, each with its edge."""
     edges = state.edges
     edge = edges.get(item_id)
     path = [(item_id, edge)]
-    for _ in range(len(edges) + 1):
-        if edge is None or edge.base_id is None:
-            return path
+    while edge is not None and edge.base_id is not None:
         current = edge.base_id
         edge = edges.get(current)
         path.append((current, edge))
-    raise ShiftError(f"cycle detected while tracing {item_id!r}")
+    return path
 
 
 def trace(state: LexiconState, item_id: str) -> Tuple[TraceNode, ...]:
     """An item's phylotemplatic tree, as rows in depth-first order, children by
     id: on a head, all of its descendants; on a derived item, the path from its
-    head down to it.  The chain is walked first, so a cycle raises before any
-    node is built; the cycle test is ``_chain``'s edge-count bound.  Each node
-    reads its resolution from the snapshot's map, calling ``transfer`` only on a
-    miss or a stored failure, so a loaded snapshot traces at constant cost per
-    node.  Nodes are built item first on a path and children first in a tree, so
-    a failing trace raises what its first ``transfer`` on the way up raises.
+    head down to it.  Each node reads its resolution from the snapshot's map,
+    calling ``transfer`` only on a miss or a stored failure, so a loaded snapshot
+    traces a path at constant cost per node; a head's tree also pays one pass
+    over the snapshot's edges.  Nodes are built item first on a path and
+    children first in a tree, so a failing trace raises what its first
+    ``transfer`` on the way up raises.
     """
+    state.item(item_id)
     path = _chain(state, item_id)
     items, edges, strata = state.items, state.edges, state.strata
     resolved, superseded = state._resolved, state.superseded
 
     def node(current: str, edge: Optional[EdgeSpec], depth: int) -> TraceNode:
-        item = items.get(current) or state.item(current)  # the latter raises on an unknown id
+        item = items[current]
         if item.category == VERB:
             rule_id = template = None
         else:

@@ -5,10 +5,7 @@ items by id, one :class:`EdgeSpec` per derived item and a stratum
 (derivation depth) per item, and the frozen set of superseded ids.
 ``apply_formation`` is a pure transition returning a new snapshot, so
 replaying an edge list over the same initial items always reproduces the
-same state.  Every write goes through one builder, :class:`Draft`: a
-transition makes a draft off its snapshot, inserts, and freezes it;
-``corpus.load`` inserts every statement into one draft and freezes it once,
-so loading a corpus is linear in its size.
+same state.
 
 Word and meaning formation comes in four kinds with different ledger
 semantics:
@@ -20,8 +17,8 @@ semantics:
   from the live count.
 
 Chains terminate at input heads: items declared with an explicit template,
-or borrow-created items with no base.  Everything else reaches its template
-through the shift engine.
+or borrow-created items with no base, so a snapshot is a forest of chains.
+Everything else reaches its template through the shift engine.
 """
 
 from __future__ import annotations
@@ -169,13 +166,15 @@ class LexiconState(Record):
     by ``(language, cogset)``) are read-only views
     (``types.MappingProxyType``), ``superseded`` is a frozenset and
     ``warnings`` a tuple, so nothing can change a snapshot once it is made.
-    That holds however the snapshot is built: given a plain dict, a set or
-    a list, the constructor wraps a copy of the dict in a view and freezes
-    the others; a table given as a view is kept.  Every write happens in
-    one builder, :class:`Draft`: ``add_item`` and ``apply_formation`` on a
-    snapshot make a draft off it, insert, and freeze the draft into the
-    successor; on a draft they insert in place, which is how
-    ``corpus.load`` builds its snapshot.
+    Given a plain dict, a set or a list, the constructor wraps a copy of the
+    dict in a view and freezes the others; a table given as a view is kept.
+    It then checks the ledger once, in O(n), and raises ``LexiconError``
+    naming the first bad id in ``items`` order: each edge is keyed by its
+    ``derived_id``, an item; each base is an item; each stratum is its
+    base's plus one, or 0 without a base, so no chain has a cycle; each
+    superseded id is a widening's base; each item's language has a profile.
+    Every write happens in one builder, :class:`Draft`, whose inserts run
+    these checks, so the snapshot it freezes skips them.
 
     Beside the lexicon, a snapshot keeps two private maps, left out of the
     constructor, equality and repr, so the constructor starts both empty and
@@ -213,13 +212,32 @@ class LexiconState(Record):
         strata: Mapping[str, int] = _NO_TABLE,
         warnings: Tuple[str, ...] = (),
     ) -> None:
-        # _resolved: item id -> engine.ShiftResult or (exception type, message),
-        # filled by engine.transfer; _steps: step key -> engine.ShiftResult,
-        # shared along a lineage; see the class docstring
         vars(self).update(
             profiles=_read_only(profiles), initials=_read_only(initials), items=_read_only(items),
             edges=_read_only(edges), superseded=frozenset(superseded), strata=_read_only(strata),
             warnings=tuple(warnings), _resolved={}, _steps={})
+        items, edges, strata = self.items, self.edges, self.strata
+        widened = {edge.base_id for edge in edges.values() if edge.process is Formation.WIDENING}
+        for item_id, item in items.items():
+            edge = edges.get(item_id)
+            base_id = edge.base_id if edge is not None else None
+            stratum = 0 if base_id is None else strata.get(base_id, -1) + 1
+            if edge is not None and edge.derived_id != item_id:
+                fault = f"its edge derives {edge.derived_id!r}"
+            elif base_id is not None and base_id not in items:
+                fault = f"dangling base reference {base_id!r}"
+            elif strata.get(item_id) != stratum:
+                fault = f"stratum {strata.get(item_id)!r}, not {stratum}"
+            elif item_id in self.superseded and item_id not in widened:
+                fault = "superseded, but no widening has it as its base"
+            elif item.language not in self.profiles:
+                fault = f"no profile for language {item.language!r}"
+            else:
+                continue
+            raise LexiconError(f"item {item_id}: {fault}")
+        strays = [key for key in edges if key not in items] + sorted(self.superseded - items.keys())
+        if strays:
+            raise LexiconError(f"unknown item {strays[0]!r} in the ledger")
 
     def __copy__(self) -> "LexiconState":
         return self
@@ -231,12 +249,6 @@ class LexiconState(Record):
             return self.items[item_id]
         except KeyError:
             raise LexiconError(f"unknown item {item_id!r}") from None
-
-    def profile_for(self, item: Item) -> LanguageProfile:
-        try:
-            return self.profiles[item.language]
-        except KeyError:
-            raise LexiconError(f"no profile for language {item.language!r}") from None
 
     def is_live(self, item_id: str) -> bool:
         return item_id in self.items and item_id not in self.superseded
@@ -350,16 +362,15 @@ class LexiconState(Record):
 class Draft(LexiconState):
     """A snapshot under construction: the one place where tables are written.
 
-    ``LexiconState.draft`` makes one, not the constructor, which would wrap
-    the tables: the draft holds its own writable copies of them;
-    ``add_item`` and ``apply_formation`` insert into the draft itself and
-    return it, so building a lexicon of n items copies nothing per
-    statement.  ``superseded`` and ``warnings`` stay the parent's frozenset
-    and tuple until a widening adds to them, so a draft that widens nothing
-    copies neither.  A failing insert leaves the draft as it was, because
-    the insert steps run every check before their first write.  ``freeze``
-    hands back a plain :class:`LexiconState` whose tables are read-only
-    views of the draft's; the draft must not be used after that.
+    ``LexiconState.draft`` makes one with its own writable copies of the
+    tables; ``add_item`` and ``apply_formation`` insert into the draft
+    itself and return it, so building a lexicon of n items copies nothing
+    per statement.  ``superseded`` and ``warnings`` stay the parent's
+    frozenset and tuple until a widening adds to them, so a draft that
+    widens nothing copies neither.  A failing insert leaves the draft as it
+    was, because the insert steps run every check before their first write.
+    ``freeze`` hands back a plain :class:`LexiconState` whose tables are
+    read-only views of the draft's; the draft must not be used after that.
     """
 
     # a draft is the builder, so unlike a snapshot it may rebind its attributes

@@ -463,40 +463,32 @@ def test_unknown_item_errors(fig2):
 
 
 def test_cycle_detection_on_a_corrupted_state():
-    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    # strata fall strictly along base links, so no strata admit a cycle
     a = Item(id="a", language="riffian", radical="x", cogset="C")
     b = Item(id="b", language="riffian", radical="y", cogset="C")
-    cyc = LexiconState(
-        profiles=state.profiles, initials=state.initials,
-        items={"a": a, "b": b},
-        edges={
-            "a": EdgeSpec(derived_id="a", process=Formation.CONVERSION, base_id="b"),
-            "b": EdgeSpec(derived_id="b", process=Formation.CONVERSION, base_id="a"),
-        },
-        strata={"a": 0, "b": 1},
-    )
-    for item_id in ("a", "b"):
-        with pytest.raises(ShiftError) as raised:
-            trace(cyc, item_id)
-        assert str(raised.value) == f"cycle detected while tracing {item_id!r}"
-    assert cyc._resolved == {}  # trace walks the chain before anything resolves
-    with pytest.raises(ShiftError, match="cycle"):
-        transfer(cyc, "a")
+    edges = {
+        "a": EdgeSpec(derived_id="a", process=Formation.CONVERSION, base_id="b"),
+        "b": EdgeSpec(derived_id="b", process=Formation.CONVERSION, base_id="a"),
+    }
+    for strata, message in (({"a": 0, "b": 1}, "item a: stratum 0, not 2"),
+                            ({"a": 1, "b": 0}, "item b: stratum 0, not 2")):
+        with pytest.raises(LexiconError) as raised:
+            LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, items={"a": a, "b": b}, edges=edges,
+                         strata=strata)
+        assert str(raised.value) == message
 
 
 def test_a_cycle_reached_from_a_tail_is_detected_before_anything_resolves():
-    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS)
+    # the constructor rejects it, so no snapshot holds it
     items = {i: Item(id=i, language="riffian", radical="x", cogset="C") for i in "xab"}
-    cyc = LexiconState(
-        profiles=state.profiles, initials=state.initials, items=items,
-        edges={derived: EdgeSpec(derived_id=derived, process=Formation.CONVERSION, base_id=base)
-               for derived, base in (("x", "a"), ("a", "b"), ("b", "a"))},
-        strata={"x": 2, "a": 1, "b": 0},
-    )
-    with pytest.raises(ShiftError) as raised:
-        trace(cyc, "x")
-    assert str(raised.value) == "cycle detected while tracing 'x'"
-    assert cyc._resolved == {}
+    with pytest.raises(LexiconError) as raised:
+        LexiconState(
+            {"riffian": RIFFIAN}, BUILTIN_INITIALS, items=items,
+            edges={derived: EdgeSpec(derived_id=derived, process=Formation.CONVERSION, base_id=base)
+                   for derived, base in (("x", "a"), ("a", "b"), ("b", "a"))},
+            strata={"x": 2, "a": 1, "b": 0},
+        )
+    assert str(raised.value) == "item b: stratum 0, not 2"
 
 
 @pytest.mark.parametrize("depth", [1, 2, 50])
@@ -806,21 +798,22 @@ def test_what_ifs_and_a_transition_of_one_step_key_run_one_gradient_step(monkeyp
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_an_edge_whose_base_is_gone_raises_unknown_item(warm):
-    # the bare constructor checks no base; "b" and "x" differ in their base only
+    # "b" and "x" differ in their base only: the constructor rejects "x", a what-if raises
     borrowing = dict(process=Formation.BORROWING, target="U", donor_gender="M", language="riffian",
                      radical="br")
     edges = {"b": EdgeSpec(derived_id="b", **borrowing),
              "x": EdgeSpec(derived_id="x", base_id="gone", **borrowing)}
-    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges=edges, strata={"b": 0, "x": 1},
-                         items={i: Item(id=i, language="riffian", radical="br", cogset="U") for i in edges})
+    items = {i: Item(id=i, language="riffian", radical="br", cogset="U") for i in edges}
+    with pytest.raises(LexiconError, match="^item x: dangling base reference 'gone'$"):
+        LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges=edges, strata={"b": 0, "x": 1}, items=items)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges={"b": edges["b"]}, strata={"b": 0},
+                         items={"b": items["b"]})
     if warm:  # the memo then holds the step key of the borrowing with no base
         assert transfer(state, "b").rule_id == "R5" and len(state._steps) == 1
     probe = EdgeSpec(**{**edges["x"]._asdict(), "derived_id": "probe"})
-    for call in (lambda: transfer(state, "x"), lambda: shift_record(state, "x"),
-                 lambda: what_if(state, probe)):
-        with pytest.raises(LexiconError, match="^unknown item 'gone'$"):
-            call()
-    assert "x" not in state._resolved
+    with pytest.raises(LexiconError, match="^unknown item 'gone'$"):
+        what_if(state, probe)
+    assert "probe" not in state._resolved
 
 
 # -- one gradient step per distinct step key -------------------------------------
@@ -874,7 +867,7 @@ def test_each_step_equals_the_gradient_map_of_its_record(fig2, example1, table3)
     assert not written.errors
     for state in (fig2, example1, table3, written.state):
         for item_id in [i for i in state.edges if state.items[i].category != "V"]:
-            profile = state.profile_for(state.items[item_id])
+            profile = state.profiles[state.items[item_id].language]
             expected = _outcome_of_call(lambda: apply_gradient(
                 shift_record(state, item_id), profile, state.initials))
             assert _outcome_of_call(lambda: transfer(state, item_id)) == expected, item_id

@@ -286,10 +286,17 @@ def test_the_constructor_copies_the_tables_it_is_given():
 
 
 def test_the_constructor_freezes_what_it_is_given():
+    widened = five_item_state().apply_formation(
+        EdgeSpec(derived_id="d1", process=Formation.WIDENING, base_id="w0"))
     state = LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
-                         items={"w0": head(0)}, superseded={"w0"}, warnings=["w"])
+                         items=dict(widened.items), edges=dict(widened.edges), strata=dict(widened.strata),
+                         superseded={"w0"}, warnings=["w"])
     assert type(state.superseded) is frozenset and state.warnings == ("w",)
     assert state.draft().freeze() == state
+    # a superseded id must be the base of a widening
+    with pytest.raises(LexiconError, match="^item w0: superseded, but no widening has it as its base$"):
+        LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
+                     items={"w0": head(0)}, strata={"w0": 0}, superseded={"w0"}, warnings=["w"])
 
 
 def test_the_lexicon_imports_nothing_from_the_engine():
