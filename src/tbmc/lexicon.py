@@ -169,12 +169,12 @@ class LexiconState(Record):
     Given a plain dict, a set or a list, the constructor wraps a copy of the
     dict in a view and freezes the others; a table given as a view is kept.
     It then checks the ledger once, in O(n), and raises ``LexiconError``
-    naming the first bad id in ``items`` order: each edge is keyed by its
-    ``derived_id``, an item; each base is an item; each stratum is its
-    base's plus one, or 0 without a base, so no chain has a cycle; each
-    superseded id is a widening's base; each item's language has a profile.
-    Every write happens in one builder, :class:`Draft`, whose inserts run
-    these checks, so the snapshot it freezes skips them.
+    naming the first bad id, items first: each edge is keyed by its
+    ``derived_id``, an item; each base is an item; only items have a
+    stratum, their base's plus one or 0 without a base, so no chain has a
+    cycle; each superseded id is a widening's base; each item's language
+    has a profile.  Every write happens in one builder, :class:`Draft`,
+    whose inserts run these checks, so the snapshot it freezes skips them.
 
     Beside the lexicon, a snapshot keeps two private maps, left out of the
     constructor, equality and repr, so the constructor starts both empty and
@@ -235,7 +235,7 @@ class LexiconState(Record):
             else:
                 continue
             raise LexiconError(f"item {item_id}: {fault}")
-        strays = [key for key in edges if key not in items] + sorted(self.superseded - items.keys())
+        strays = [key for key in (*edges, *strata) if key not in items] + sorted(self.superseded - items.keys())
         if strays:
             raise LexiconError(f"unknown item {strays[0]!r} in the ledger")
 

@@ -299,6 +299,28 @@ def test_the_constructor_freezes_what_it_is_given():
                      items={"w0": head(0)}, strata={"w0": 0}, superseded={"w0"}, warnings=["w"])
 
 
+_DERIVED = Item(id="d1", language="riffian", radical="rad0", cogset="U")
+
+
+@pytest.mark.parametrize("tables, message", [
+    ({"items": {"w0": head(0), "d1": _DERIVED}, "edges": {"d1": conv("d2", "w0")},
+      "strata": {"w0": 0, "d1": 1}}, "item d1: its edge derives 'd2'"),
+    ({"items": {"w0": head(0)}, "strata": {"w0": 1}}, "item w0: stratum 1, not 0"),
+    ({"items": {"w0": head(0), "w1": head(1)}}, "item w0: stratum None, not 0"),
+    ({"items": {"w0": head(0)}, "strata": {"w0": 0}, "profiles": {"french": FRENCH}},
+     "item w0: no profile for language 'riffian'"),
+    ({"items": {"w0": head(0)}, "edges": {"zz": conv("zz", "w0")}, "strata": {"w0": 0}},
+     "unknown item 'zz' in the ledger"),
+    ({"items": {"w0": head(0)}, "strata": {"w0": 0, "zz": 1}}, "unknown item 'zz' in the ledger"),
+    ({"items": {"w0": head(0)}, "strata": {"w0": 0}, "superseded": {"zz"}}, "unknown item 'zz' in the ledger"),
+], ids=["edge-key", "head-stratum", "first-in-items-order", "profile", "stray-edge", "stray-stratum",
+        "stray-superseded"])
+def test_the_constructor_names_the_first_id_that_breaks_the_ledger(tables, message):
+    with pytest.raises(LexiconError) as raised:
+        LexiconState(**{"profiles": {"riffian": RIFFIAN}, "initials": BUILTIN_INITIALS, **tables})
+    assert str(raised.value) == message
+
+
 def test_the_lexicon_imports_nothing_from_the_engine():
     # the engine builds on the lexicon, so not even a type hint may point back
     imported = []
