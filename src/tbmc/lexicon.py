@@ -1,8 +1,8 @@
 """The item store, formation edges, and the derivation bookkeeping.
 
 A :class:`LexiconState` is an immutable snapshot: read-only tables of the
-items by id, one :class:`EdgeSpec` per derived item and a stratum
-(derivation depth) per item, and the frozen set of superseded ids.
+items by id and one :class:`EdgeSpec` per derived item, from which follow a
+stratum (derivation depth) per item and the frozen set of superseded ids.
 ``apply_formation`` is a pure transition returning a new snapshot, so
 replaying an edge list over the same initial items always reproduces the
 same state.
@@ -149,32 +149,32 @@ class ShiftRecord(NamedTuple):
 EMPTY_RECORD = ShiftRecord(process=None, base_template=None, target=None, base_id=None)
 
 
-# a table not given: empty and read-only, so one view serves every snapshot
+# a table not given: empty, and copied like any other table
 _NO_TABLE: Mapping = MappingProxyType({})
 
 
 def _read_only(table: Mapping) -> Mapping:
-    """``table`` itself when it is a read-only view, else a view of a copy of it."""
-    return table if type(table) is MappingProxyType else MappingProxyType(dict(table))
+    """A read-only view of a copy of ``table``, so no later write to it reaches a snapshot."""
+    return MappingProxyType(dict(table))
 
 
 class LexiconState(Record):
     """Immutable lexicon snapshot; all transitions return a new state.
 
-    The tables ``items``, ``edges``, ``strata``, ``profiles`` and
-    ``initials`` (the initial template of each language and cognitive set,
-    by ``(language, cogset)``) are read-only views
-    (``types.MappingProxyType``), ``superseded`` is a frozenset and
-    ``warnings`` a tuple, so nothing can change a snapshot once it is made.
-    Given a plain dict, a set or a list, the constructor wraps a copy of the
-    dict in a view and freezes the others; a table given as a view is kept.
-    It then checks the ledger once, in O(n), and raises ``LexiconError``
-    naming the first bad id, items first: each edge is keyed by its
-    ``derived_id``, an item; each base is an item; only items have a
-    stratum, their base's plus one or 0 without a base, so no chain has a
-    cycle; each superseded id is a widening's base; each item's language
-    has a profile.  Every write happens in one builder, :class:`Draft`,
-    whose inserts run these checks, so the snapshot it freezes skips them.
+    A snapshot is its ledger: ``profiles``, ``initials`` (the initial
+    template of each language and cognitive set, by ``(language, cogset)``),
+    ``items`` and ``edges``, each a ``types.MappingProxyType`` view of a
+    copy of the table given.  The constructor checks them in one pass over
+    ``items``, in order, and raises ``LexiconError`` naming the first bad
+    id: each item is keyed by its ``id``; its edge, if any, derives it; only
+    a borrowing has no base; a base is an earlier item, so no chain has a
+    cycle; each item's language has a profile; and each edge is keyed by an
+    item.  The pass derives the read-only ``strata``, each item's derivation
+    depth (0 without a base, else its base's plus one), and ``superseded``,
+    the frozenset of the widenings' bases; ``warnings`` names each widening
+    whose meanings strictly contain its base's.  The one builder,
+    :class:`Draft`, runs these checks and keeps both up to date per insert,
+    so the snapshot it freezes skips them.
 
     Beside the lexicon, a snapshot keeps two private maps, left out of the
     constructor, equality and repr, so the constructor starts both empty and
@@ -196,10 +196,10 @@ class LexiconState(Record):
 
     A snapshot is shared, not copied: ``copy.copy`` returns the snapshot
     itself, and ``copy.deepcopy`` and ``pickle`` raise ``TypeError``.  It
-    compares equal by its seven public fields and is unhashable.
+    compares equal by its four tables and is unhashable.
     """
 
-    _fields = ("profiles", "initials", "items", "edges", "superseded", "strata", "warnings")
+    _fields = ("profiles", "initials", "items", "edges")
     __hash__ = None
 
     def __init__(
@@ -208,36 +208,35 @@ class LexiconState(Record):
         initials: Mapping[Tuple[str, str], Template],
         items: Mapping[str, Item] = _NO_TABLE,
         edges: Mapping[str, EdgeSpec] = _NO_TABLE,
-        superseded: FrozenSet[str] = frozenset(),
-        strata: Mapping[str, int] = _NO_TABLE,
-        warnings: Tuple[str, ...] = (),
     ) -> None:
-        vars(self).update(
-            profiles=_read_only(profiles), initials=_read_only(initials), items=_read_only(items),
-            edges=_read_only(edges), superseded=frozenset(superseded), strata=_read_only(strata),
-            warnings=tuple(warnings), _resolved={}, _steps={})
-        items, edges, strata = self.items, self.edges, self.strata
-        widened = {edge.base_id for edge in edges.values() if edge.process is Formation.WIDENING}
+        profiles, items, edges = _read_only(profiles), _read_only(items), _read_only(edges)
+        strata: Dict[str, int] = {}
         for item_id, item in items.items():
             edge = edges.get(item_id)
             base_id = edge.base_id if edge is not None else None
-            stratum = 0 if base_id is None else strata.get(base_id, -1) + 1
-            if edge is not None and edge.derived_id != item_id:
+            if item.id != item_id:
+                fault = f"its id is {item.id!r}"
+            elif edge is not None and edge.derived_id != item_id:
                 fault = f"its edge derives {edge.derived_id!r}"
+            elif edge is not None and base_id is None and edge.process is not Formation.BORROWING:
+                fault = f"{edge.process.value} needs a base item"
             elif base_id is not None and base_id not in items:
                 fault = f"dangling base reference {base_id!r}"
-            elif strata.get(item_id) != stratum:
-                fault = f"stratum {strata.get(item_id)!r}, not {stratum}"
-            elif item_id in self.superseded and item_id not in widened:
-                fault = "superseded, but no widening has it as its base"
-            elif item.language not in self.profiles:
+            elif base_id is not None and base_id not in strata:
+                fault = f"base {base_id!r} does not come before it"
+            elif item.language not in profiles:
                 fault = f"no profile for language {item.language!r}"
             else:
+                strata[item_id] = 0 if base_id is None else strata[base_id] + 1
                 continue
             raise LexiconError(f"item {item_id}: {fault}")
-        strays = [key for key in (*edges, *strata) if key not in items] + sorted(self.superseded - items.keys())
+        strays = [key for key in edges if key not in items]
         if strays:
             raise LexiconError(f"unknown item {strays[0]!r} in the ledger")
+        vars(self).update(
+            profiles=profiles, initials=_read_only(initials), items=items, edges=edges,
+            superseded=frozenset(edge.base_id for edge in edges.values() if edge.process is Formation.WIDENING),
+            strata=MappingProxyType(strata), _resolved={}, _steps={})
 
     def __copy__(self) -> "LexiconState":
         return self
@@ -259,6 +258,13 @@ class LexiconState(Record):
     @property
     def live_count(self) -> int:
         return len(self.items) - len(self.superseded)
+
+    @property
+    def warnings(self) -> Tuple[str, ...]:
+        items = self.items
+        return tuple(f"widen {edge.derived_id}: derived meanings strictly contain the base's"
+                     for edge in self.edges.values() if edge.process is Formation.WIDENING
+                     and not items[edge.derived_id].meanings <= items[edge.base_id].meanings)
 
     def cognitive_set_members(self, cogset: str) -> List[str]:
         """Live noun items of one cognitive set, sorted by id.
@@ -365,12 +371,12 @@ class Draft(LexiconState):
     ``LexiconState.draft`` makes one with its own writable copies of the
     tables; ``add_item`` and ``apply_formation`` insert into the draft
     itself and return it, so building a lexicon of n items copies nothing
-    per statement.  ``superseded`` and ``warnings`` stay the parent's
-    frozenset and tuple until a widening adds to them, so a draft that
-    widens nothing copies neither.  A failing insert leaves the draft as it
-    was, because the insert steps run every check before their first write.
-    ``freeze`` hands back a plain :class:`LexiconState` whose tables are
-    read-only views of the draft's; the draft must not be used after that.
+    per statement.  ``superseded`` stays the parent's frozenset until a
+    widening adds to it, so a draft that widens nothing never copies it.  A
+    failing insert leaves the draft as it was, because the insert steps run
+    every check before their first write.  ``freeze`` hands back a plain
+    :class:`LexiconState` whose tables are read-only views of the draft's,
+    and spends the draft: a later insert raises ``AttributeError``.
     """
 
     # a draft is the builder, so unlike a snapshot it may rebind its attributes
@@ -379,8 +385,8 @@ class Draft(LexiconState):
     def freeze(self) -> LexiconState:
         state = object.__new__(LexiconState)
         vars(state).update(vars(self), items=MappingProxyType(self.items), edges=MappingProxyType(self.edges),
-                           superseded=frozenset(self.superseded), strata=MappingProxyType(self.strata),
-                           warnings=tuple(self.warnings))
+                           superseded=frozenset(self.superseded), strata=MappingProxyType(self.strata))
+        vars(self).clear()
         return state
 
     def _insert_item(self, item: Item) -> "Draft":
@@ -416,13 +422,7 @@ class Draft(LexiconState):
         self.edges[derived.id] = spec
         self.strata[derived.id] = self.strata[spec.base_id] + 1 if spec.base_id is not None else 0
         if spec.process is Formation.WIDENING:
-            base = self.items[spec.base_id]
             if isinstance(self.superseded, frozenset):
                 self.superseded = set(self.superseded)  # the first widening copies it
-            self.superseded.add(base.id)
-            if not derived.meanings <= base.meanings:
-                if isinstance(self.warnings, tuple):
-                    self.warnings = list(self.warnings)
-                self.warnings.append(
-                    f"widen {spec.derived_id}: derived meanings strictly contain the base's")
+            self.superseded.add(spec.base_id)
         return self

@@ -1,5 +1,7 @@
 """The corpus format: grammar, error recovery, validation, round trips."""
 
+import re
+
 import pytest
 
 from tbmc import corpus, engine
@@ -311,6 +313,21 @@ def test_load_path_raises_on_parse_errors(tmp_path):
     bad.write_text("item\n", encoding="utf-8")
     with pytest.raises(corpus.CorpusParseError):
         load_path(bad)
+
+
+def test_the_module_docstring_sketches_each_key_table_in_order():
+    # the sketch is the one copy of the key tables outside them; an indented
+    # statement line starts a sketch, and deeper-indented lines continue it
+    sketches, keyword = {}, None
+    for line in corpus.__doc__.splitlines():
+        if line.startswith("    ") and not line.startswith("     "):
+            keyword = line.split()[0]
+        elif not line.startswith("         "):
+            keyword = None
+        if keyword is not None:
+            sketches.setdefault(keyword, []).extend(re.findall(r"(\w+)=", line))
+    assert sketches["item"] == list(corpus._ITEM_KEYS.keys) and len(sketches["item"]) == 14
+    assert sketches["derive"] == list(corpus._DERIVE_KEYS.keys) and len(sketches["derive"]) == 15
 
 
 def test_statement_kinds_round_trip_individually(structurally_equal):

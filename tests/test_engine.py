@@ -463,32 +463,30 @@ def test_unknown_item_errors(fig2):
 
 
 def test_cycle_detection_on_a_corrupted_state():
-    # strata fall strictly along base links, so no strata admit a cycle
+    # a base must come before its derivative in items, so no order admits a cycle
     a = Item(id="a", language="riffian", radical="x", cogset="C")
     b = Item(id="b", language="riffian", radical="y", cogset="C")
     edges = {
         "a": EdgeSpec(derived_id="a", process=Formation.CONVERSION, base_id="b"),
         "b": EdgeSpec(derived_id="b", process=Formation.CONVERSION, base_id="a"),
     }
-    for strata, message in (({"a": 0, "b": 1}, "item a: stratum 0, not 2"),
-                            ({"a": 1, "b": 0}, "item b: stratum 0, not 2")):
+    for items, message in (({"a": a, "b": b}, "item a: base 'b' does not come before it"),
+                           ({"b": b, "a": a}, "item b: base 'a' does not come before it")):
         with pytest.raises(LexiconError) as raised:
-            LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, items={"a": a, "b": b}, edges=edges,
-                         strata=strata)
+            LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, items=items, edges=edges)
         assert str(raised.value) == message
 
 
 def test_a_cycle_reached_from_a_tail_is_detected_before_anything_resolves():
     # the constructor rejects it, so no snapshot holds it
-    items = {i: Item(id=i, language="riffian", radical="x", cogset="C") for i in "xab"}
+    items = {i: Item(id=i, language="riffian", radical="x", cogset="C") for i in "abx"}
     with pytest.raises(LexiconError) as raised:
         LexiconState(
             {"riffian": RIFFIAN}, BUILTIN_INITIALS, items=items,
             edges={derived: EdgeSpec(derived_id=derived, process=Formation.CONVERSION, base_id=base)
                    for derived, base in (("x", "a"), ("a", "b"), ("b", "a"))},
-            strata={"x": 2, "a": 1, "b": 0},
         )
-    assert str(raised.value) == "item b: stratum 0, not 2"
+    assert str(raised.value) == "item a: base 'b' does not come before it"
 
 
 @pytest.mark.parametrize("depth", [1, 2, 50])
@@ -805,9 +803,8 @@ def test_an_edge_whose_base_is_gone_raises_unknown_item(warm):
              "x": EdgeSpec(derived_id="x", base_id="gone", **borrowing)}
     items = {i: Item(id=i, language="riffian", radical="br", cogset="U") for i in edges}
     with pytest.raises(LexiconError, match="^item x: dangling base reference 'gone'$"):
-        LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges=edges, strata={"b": 0, "x": 1}, items=items)
-    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges={"b": edges["b"]}, strata={"b": 0},
-                         items={"b": items["b"]})
+        LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges=edges, items=items)
+    state = LexiconState({"riffian": RIFFIAN}, BUILTIN_INITIALS, edges={"b": edges["b"]}, items={"b": items["b"]})
     if warm:  # the memo then holds the step key of the borrowing with no base
         assert transfer(state, "b").rule_id == "R5" and len(state._steps) == 1
     probe = EdgeSpec(**{**edges["x"]._asdict(), "derived_id": "probe"})

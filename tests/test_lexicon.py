@@ -242,7 +242,7 @@ def _snapshot(how, fig2):
         return riffian_state()
     if how == "constructor":
         return LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
-                            items={"w0": head(0)}, edges={}, strata={"w0": 0})
+                            items={"w0": head(0)}, edges={})
     if how == "loaded":
         return fig2
     if how == "add_item":
@@ -262,59 +262,88 @@ def test_a_snapshot_rejects_writes_to_its_tables(fig2, how, table):
 
 
 def test_a_snapshot_has_no_writable_field(fig2):
-    # the seven public fields; _resolved and _steps are the private memos
+    # the four tables, and the three values derived from them; _resolved and _steps are the private memos
     for state in (riffian_state(), fig2, five_item_state().apply_formation(conv("d1", "w0"))):
         for name in ("profiles", "initials", "items", "edges", "superseded", "strata", "warnings"):
             assert type(getattr(state, name)) in (MappingProxyType, frozenset, tuple), name
 
 
+def test_a_snapshot_is_made_of_its_four_tables(fig2):
+    assert LexiconState._fields == ("profiles", "initials", "items", "edges")
+    assert list(fig2._asdict()) == list(LexiconState._fields)
+    assert LexiconState(**fig2._asdict()) == fig2
+
+
 def test_the_constructor_copies_the_tables_it_is_given():
     built = five_item_state().apply_formation(conv("d1", "w0"))
     profiles, initials = {"riffian": RIFFIAN}, dict(BUILTIN_INITIALS)
-    items, edges, strata = dict(built.items), dict(built.edges), dict(built.strata)
-    state = LexiconState(profiles, initials, items=items, edges=edges, strata=strata)
+    items, edges = dict(built.items), dict(built.edges)
+    state = LexiconState(profiles, initials, items=items, edges=edges)
     profiles["french"] = FRENCH
     initials[("riffian", "C")] = initials[("riffian", "U")]
     del initials[("riffian", "NA")]
     items["w9"] = head(9)
-    del items["d1"], edges["d1"], strata["d1"]
-    strata["w0"] = 5
+    del items["d1"], edges["d1"]
     assert set(state.profiles) == {"riffian"}
     assert state.initials == BUILTIN_INITIALS
     assert state.items == built.items and state.edges == built.edges
     assert state.strata == built.strata
 
 
+def test_the_constructor_copies_a_read_only_view_it_is_given(fig2):
+    # a view is no copy: a write to the dict behind it must not reach the snapshot
+    tables = {name: dict(table) for name, table in fig2._asdict().items()}
+    state = LexiconState(**{name: MappingProxyType(table) for name, table in tables.items()})
+    tables["edges"]["rgaz_1"] = EdgeSpec(derived_id="rgaz_1", process=Formation.CONVERSION, base_id="rgaz_2")
+    tables["items"]["w9"] = head(9)
+    tables["profiles"].clear()
+    tables["initials"].clear()
+    assert state == fig2
+    assert "rgaz_1" not in state.edges and "w9" not in state.items and state.profiles and state.initials
+
+
 def test_the_constructor_freezes_what_it_is_given():
+    # strata, superseded and warnings follow from the edges, frozen like the tables
     widened = five_item_state().apply_formation(
-        EdgeSpec(derived_id="d1", process=Formation.WIDENING, base_id="w0"))
+        EdgeSpec(derived_id="d1", process=Formation.WIDENING, base_id="w0", gloss="more"))
     state = LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
-                         items=dict(widened.items), edges=dict(widened.edges), strata=dict(widened.strata),
-                         superseded={"w0"}, warnings=["w"])
-    assert type(state.superseded) is frozenset and state.warnings == ("w",)
+                         items=dict(widened.items), edges=dict(widened.edges))
+    assert type(state.superseded) is frozenset and type(state.strata) is MappingProxyType
+    assert state.superseded == widened.superseded == {"w0"} and state.live_count == widened.live_count == 5
+    assert dict(state.strata) == dict(widened.strata) and state.strata["d1"] == 1
+    assert state.warnings == widened.warnings == ("widen d1: derived meanings strictly contain the base's",)
     assert state.draft().freeze() == state
-    # a superseded id must be the base of a widening
-    with pytest.raises(LexiconError, match="^item w0: superseded, but no widening has it as its base$"):
-        LexiconState(profiles={"riffian": RIFFIAN}, initials=BUILTIN_INITIALS,
-                     items={"w0": head(0)}, strata={"w0": 0}, superseded={"w0"}, warnings=["w"])
+
+
+def test_a_frozen_draft_is_spent(fig2):
+    draft = fig2.draft()
+    state = draft.freeze()
+    with pytest.raises(AttributeError):
+        draft.add_item(head(9))
+    with pytest.raises(AttributeError):
+        draft.apply_formation(conv("d9", "rgaz_1"))
+    with pytest.raises(AttributeError):
+        draft.freeze()
+    assert state == fig2 and len(state.items) == len(fig2.items)
 
 
 _DERIVED = Item(id="d1", language="riffian", radical="rad0", cogset="U")
 
 
 @pytest.mark.parametrize("tables, message", [
-    ({"items": {"w0": head(0), "d1": _DERIVED}, "edges": {"d1": conv("d2", "w0")},
-      "strata": {"w0": 0, "d1": 1}}, "item d1: its edge derives 'd2'"),
-    ({"items": {"w0": head(0)}, "strata": {"w0": 1}}, "item w0: stratum 1, not 0"),
-    ({"items": {"w0": head(0), "w1": head(1)}}, "item w0: stratum None, not 0"),
-    ({"items": {"w0": head(0)}, "strata": {"w0": 0}, "profiles": {"french": FRENCH}},
-     "item w0: no profile for language 'riffian'"),
-    ({"items": {"w0": head(0)}, "edges": {"zz": conv("zz", "w0")}, "strata": {"w0": 0}},
-     "unknown item 'zz' in the ledger"),
-    ({"items": {"w0": head(0)}, "strata": {"w0": 0, "zz": 1}}, "unknown item 'zz' in the ledger"),
-    ({"items": {"w0": head(0)}, "strata": {"w0": 0}, "superseded": {"zz"}}, "unknown item 'zz' in the ledger"),
-], ids=["edge-key", "head-stratum", "first-in-items-order", "profile", "stray-edge", "stray-stratum",
-        "stray-superseded"])
+    ({"items": {"w0": head(0), "d1": _DERIVED}, "edges": {"d1": conv("d2", "w0")}}, "item d1: its edge derives 'd2'"),
+    ({"items": {"a": head(0)}}, "item a: its id is 'w0'"),
+    ({"items": {"w0": head(0), "d1": _DERIVED},
+      "edges": {"d1": EdgeSpec(derived_id="d1", process=Formation.CONVERSION, target="U")}},
+     "item d1: CONV needs a base item"),
+    ({"items": {"d1": _DERIVED}, "edges": {"d1": conv("d1", "w0")}}, "item d1: dangling base reference 'w0'"),
+    ({"items": {"d1": _DERIVED, "w0": head(0)}, "edges": {"d1": conv("d1", "w0")}},
+     "item d1: base 'w0' does not come before it"),
+    ({"items": {"w1": head(0), "w0": head(1)}}, "item w1: its id is 'w0'"),
+    ({"items": {"w0": head(0)}, "profiles": {"french": FRENCH}}, "item w0: no profile for language 'riffian'"),
+    ({"items": {"w0": head(0)}, "edges": {"zz": conv("zz", "w0")}}, "unknown item 'zz' in the ledger"),
+], ids=["edge-key", "key-id", "baseless-conversion", "dangling-base", "base-order", "first-in-items-order",
+        "profile", "stray-edge"])
 def test_the_constructor_names_the_first_id_that_breaks_the_ledger(tables, message):
     with pytest.raises(LexiconError) as raised:
         LexiconState(**{"profiles": {"riffian": RIFFIAN}, "initials": BUILTIN_INITIALS, **tables})

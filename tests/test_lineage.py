@@ -40,7 +40,8 @@ _OTHER_C = InitialStmt(line=0, language="riffian", cogset="C",
 def corpus_lines(rng, count):
     """``count`` seeded Riffian statements: heads with and without a template,
     verbs, and derives of every process off any earlier id, so some derives
-    meet a superseded base or one that failed to load."""
+    meet a superseded base or one that failed to load, and some widenings
+    add a meaning."""
     lines, ids = [], []
     for k in range(count):
         kind = rng.random() if ids else 0.0
@@ -64,6 +65,8 @@ def corpus_lines(rng, count):
                 line = f"derive id={item_id} base={rng.choice(ids)} via={process}{rng.choice(_TARGETS)}"
                 if process == "CONV" and rng.random() < 0.3:
                     line += rng.choice((" animate=true", " gradcond=R3"))
+                elif process == "WIDEN" and rng.random() < 0.5:
+                    line += ' gloss="wide"'  # a new meaning: the widening draws a warning
             lines.append(line)
         ids.append(item_id)
     return lines
@@ -96,7 +99,8 @@ def answers(state, ids):
 
 
 def tables(state):
-    return (state._asdict(), state.live_count)
+    # the four tables, and what the snapshot derives from them
+    return (state._asdict(), dict(state.strata), state.superseded, state.warnings, state.live_count)
 
 
 class Lineage(RuleBasedStateMachine):
@@ -119,6 +123,8 @@ class Lineage(RuleBasedStateMachine):
         key = (preamble, seen)
         if key not in self.references:
             state = corpus.load(CorpusDocument(preamble + self.statements[:seen])).state
+            # given the loaded tables, the constructor derives what the load did
+            assert tables(LexiconState(**state._asdict())) == tables(state)
             # every id of the corpus, and one no statement declares
             self.references[key] = state, tables(state), answers(state, self.ids + ["probe"])
         return self.references[key]
@@ -167,14 +173,11 @@ class Lineage(RuleBasedStateMachine):
                 given["profiles"]["riffian"], _OTHER_C.body)}
             preamble = (_OTHER_C,)
         if plain:
-            given = {name: dict(given[name]) for name in ("profiles", "initials", "items", "edges", "strata")}
-            given.update(superseded=set(state.superseded), warnings=list(state.warnings))
+            given = {name: dict(table) for name, table in given.items()}
         built = LexiconState(**given)
         if plain:  # the caller's tables are its own to change
-            for name in ("profiles", "initials", "items", "edges", "strata"):
-                given[name].clear()
-            given["superseded"].add("probe")
-            given["warnings"].append("probe")
+            for table in given.values():
+                table.clear()
         self.snapshots.append((built, preamble, seen))
 
     @rule(index=st.integers(0, 100), base=st.integers(0, 100), process=st.sampled_from(list(Formation)),
